@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "core/serialization.h"
+#include "distill/precompute.h"
 #include "util/fault.h"
 #include "util/logging.h"
+#include "util/parallel_for.h"
 #include "util/stopwatch.h"
 
 namespace poe {
@@ -72,10 +75,12 @@ ExpertPool ExpertPool::Preprocess(const LogitFn& oracle,
       << "library student must cover at least the hierarchy's classes";
 
   // Phase 1: library extraction by standard KD (Eq. 1). The student is a
-  // small generic model; its conv1..conv3 become the shared library.
+  // small generic model; its conv1..conv3 become the shared library. The
+  // oracle is fixed, so one pass over the training set feeds both phases.
   Stopwatch sw;
+  Tensor oracle_logits = BatchedApply(oracle, data.train.images);
   Wrn library_student(config.library_config, rng);
-  TrainStandardKd(oracle, library_student, data.train,
+  TrainStandardKd(oracle_logits, library_student, data.train,
                   config.library_options);
   const double library_seconds = sw.ElapsedSeconds();
   if (config.verbose) {
@@ -89,28 +94,41 @@ ExpertPool ExpertPool::Preprocess(const LogitFn& oracle,
   // Phase 2: expert extraction by CKD, one expert per primitive task.
   // The oracle and the frozen library are shared teachers: compute their
   // tables once for all experts.
-  CkdTables tables = PrecomputeCkdTables(oracle, *library, data.train);
-  std::vector<std::shared_ptr<Sequential>> experts;
-  std::vector<double> per_expert;
   sw.Reset();
-  for (int t = 0; t < data.hierarchy.num_tasks(); ++t) {
-    Stopwatch expert_sw;
-    const std::vector<int>& classes = data.hierarchy.task_classes(t);
+  const CkdTables tables =
+      PrecomputeCkdTables(std::move(oracle_logits), *library, data.train);
+  // Every head is built before any trains, in task order, so the shared
+  // rng's draws do not depend on the schedule below.
+  const int num_tasks = data.hierarchy.num_tasks();
+  std::vector<std::shared_ptr<Sequential>> experts;
+  for (int t = 0; t < num_tasks; ++t) {
     WrnConfig expert_cfg = config.library_config;
     expert_cfg.ks = config.expert_ks;
-    expert_cfg.num_classes = static_cast<int>(classes.size());
-    auto head = BuildExpertPart(expert_cfg,
-                                config.library_config.conv3_channels(), rng);
-    TrainCkdExpertWithTables(tables, *head, data.train, classes,
-                             config.expert_options, config.ckd);
-    per_expert.push_back(expert_sw.ElapsedSeconds());
-    if (config.verbose) {
-      POE_LOG(Info) << "expert " << t << " extracted in "
-                    << per_expert.back() << "s";
-    }
-    experts.push_back(std::move(head));
+    expert_cfg.num_classes =
+        static_cast<int>(data.hierarchy.task_classes(t).size());
+    experts.push_back(BuildExpertPart(
+        expert_cfg, config.library_config.conv3_channels(), rng));
   }
+  // The experts are independent: one task per expert, claimed one at a
+  // time. They only read the tables and the training set. ParallelFor
+  // calls inside a task run inline, and the kernels give the same bits
+  // inline or fanned out, so each expert equals a sequential run's at any
+  // thread count.
+  std::vector<double> per_expert(num_tasks);
+  ParallelFor2D(1, num_tasks, [&](int64_t, int64_t t) {
+    Stopwatch expert_sw;
+    TrainCkdExpertWithTables(tables, *experts[t], data.train,
+                             data.hierarchy.task_classes(t),
+                             config.expert_options, config.ckd);
+    per_expert[t] = expert_sw.ElapsedSeconds();
+  });
   const double experts_seconds = sw.ElapsedSeconds();
+  if (config.verbose) {
+    for (int t = 0; t < num_tasks; ++t) {
+      POE_LOG(Info) << "expert " << t << " extracted in " << per_expert[t]
+                    << "s";
+    }
+  }
 
   if (stats != nullptr) {
     stats->library_seconds = library_seconds;

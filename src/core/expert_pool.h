@@ -35,10 +35,17 @@ struct PoeBuildConfig {
   bool verbose = false;
 };
 
-/// Timing/diagnostic record of a preprocessing run.
+/// Timing/diagnostic record of a preprocessing run. The two phase times
+/// add up to the run's wall time, less the bookkeeping between and after
+/// the phases.
 struct PoeBuildStats {
+  /// Phase 1: the oracle's pass over the training set plus library KD.
   double library_seconds = 0.0;
+  /// Phase 2: the library's feature pass plus every expert's CKD.
   double experts_seconds = 0.0;
+  /// Each expert's CKD wall time, by task id. Experts train side by side
+  /// on the worker pool, so these overlap and their sum may exceed
+  /// experts_seconds.
   std::vector<double> per_expert_seconds;
 };
 

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/serialization.h"
 #include "core/volume.h"
 #include "distill/specialize.h"
 #include "eval/metrics.h"
 #include "tensor/ops.h"
 #include "test_util.h"
+#include "util/stopwatch.h"
 
 namespace poe {
 namespace {
@@ -68,6 +70,48 @@ TEST_F(ExpertPoolTest, BuildStatsRecorded) {
   EXPECT_GT(stats_->library_seconds, 0.0);
   EXPECT_GT(stats_->experts_seconds, 0.0);
   EXPECT_EQ(stats_->per_expert_seconds.size(), 3u);
+}
+
+// Preprocess trains its experts side by side on the worker pool (the _mt4
+// variant of this suite pins four threads, so they really overlap). The
+// pool must equal, bit for bit, the one-after-another schedule from the
+// same seed: library KD, the shared CKD tables, then per task a head built
+// from the shared rng and trained alone.
+TEST_F(ExpertPoolTest, ConcurrentExpertsEqualSequentialBuild) {
+  PoeBuildConfig cfg;
+  cfg.library_config = TinyLibraryConfig();
+  cfg.expert_ks = 0.5;
+  cfg.library_options = FastTrainOptions(2);
+  cfg.expert_options = FastTrainOptions(3);
+  const LogitFn oracle = ModelLogits(*oracle_);
+
+  Rng rng(21);
+  PoeBuildStats stats;
+  Stopwatch sw;
+  ExpertPool pool = ExpertPool::Preprocess(oracle, *data_, cfg, rng, &stats);
+  const double wall_seconds = sw.ElapsedSeconds();
+  EXPECT_LE(stats.library_seconds + stats.experts_seconds, wall_seconds);
+
+  Rng seq_rng(21);
+  Wrn student(cfg.library_config, seq_rng);
+  TrainStandardKd(oracle, student, data_->train, cfg.library_options);
+  Sequential& library = *student.library_part();
+  library.SetTrainable(false);
+  const CkdTables tables = PrecomputeCkdTables(oracle, library, data_->train);
+  EXPECT_EQ(ModuleContentCrc(*pool.library()).ValueOrDie(),
+            ModuleContentCrc(library).ValueOrDie());
+
+  ASSERT_EQ(pool.num_experts(), data_->hierarchy.num_tasks());
+  for (int t = 0; t < pool.num_experts(); ++t) {
+    auto head = BuildExpertPart(pool.ExpertConfig(t),
+                                cfg.library_config.conv3_channels(), seq_rng);
+    TrainCkdExpertWithTables(tables, *head, data_->train,
+                             data_->hierarchy.task_classes(t),
+                             cfg.expert_options, cfg.ckd);
+    EXPECT_EQ(ModuleContentCrc(*pool.expert(t)).ValueOrDie(),
+              ModuleContentCrc(*head).ValueOrDie())
+        << "expert " << t;
+  }
 }
 
 TEST_F(ExpertPoolTest, LibraryIsFrozen) {
