@@ -6,10 +6,13 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
+#include "tensor/arena.h"
 #include "tensor/conv_direct.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
+#include "tensor/im2col.h"
 #include "tensor/ops.h"
+#include "util/parallel_for.h"
 #include "util/rng.h"
 
 namespace poe {
@@ -23,6 +26,19 @@ constexpr int kRepetitions = 5;
 
 void WallClock(benchmark::internal::Benchmark* b) {
   b->UseRealTime()->Repetitions(kRepetitions)->ReportAggregatesOnly(true);
+}
+
+// A row-major k x n matrix as a 1x1 conv view (k channels of a 1 x n
+// image): the GEMM packs it as the plain B matrix it is.
+template <typename T>
+ConvImageViewT<T> MatrixView(const T* b, int64_t k, int64_t n) {
+  ConvImageViewT<T> view;
+  view.padded = b;
+  view.channels = k;
+  view.height = 1;
+  view.width = n;
+  view.kernel = 1;
+  return view;
 }
 
 void BM_Gemm(benchmark::State& state) {
@@ -75,7 +91,7 @@ BENCHMARK(BM_GemmS8)
     ->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 // Same product with the weights pre-packed once (the conv serving path:
-// packing cost amortized across every query).
+// packing cost amortized across every query), B given as a 1x1 view.
 void BM_GemmS8Packed(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(2);
@@ -90,7 +106,8 @@ void BM_GemmS8Packed(benchmark::State& state) {
   ep.scale = 0.02f;
   ep.row_scale = scales.data();
   for (auto _ : state) {
-    GemmS8PackedA(packed, n, b.data(), c.data(), ep, /*parallel=*/true);
+    GemmS8ConvPackedA(packed, MatrixView(b.data(), n, n), c.data(), ep,
+                      /*parallel=*/true);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -116,8 +133,8 @@ BENCHMARK(BM_Conv2dForward)->Apply(WallClock)->Arg(8)->Arg(32)->Arg(64);
 // WRN-shaped inference convolutions (CIFAR-style 32x32 inputs, batch 8):
 // args are {in_channels, out_channels, spatial, stride, kernel}. The cases
 // mirror the oracle WRN-40-(4,4) trunk: the stem, one 3x3 from each
-// resolution group, a strided group transition, and the 1x1 projection
-// (which exercises the no-im2col pointwise fast path).
+// resolution group, the strided group transitions, and a 1x1 projection
+// (a view the GEMM packs as a plain matrix).
 void BM_ConvWrn(benchmark::State& state) {
   const int64_t in_c = state.range(0);
   const int64_t out_c = state.range(1);
@@ -144,7 +161,7 @@ BENCHMARK(BM_ConvWrn)->Apply(WallClock)
     ->Args({128, 128, 16, 1, 3})  // conv3 group body
     ->Args({128, 256, 16, 2, 3})  // conv4 transition (16x16 in -> 8x8)
     ->Args({256, 256, 8, 1, 3})   // conv4 group body
-    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise fast path
+    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise
 
 // The same WRN-shaped convolutions served int8: per-channel-quantized
 // pre-packed weights, dynamic activation quantization, fused dequant
@@ -177,13 +194,33 @@ BENCHMARK(BM_ConvWrnInt8)->Apply(WallClock)
     ->Args({128, 128, 16, 1, 3})  // conv3 group body
     ->Args({128, 256, 16, 2, 3})  // conv4 transition (16x16 in -> 8x8)
     ->Args({256, 256, 8, 1, 3})   // conv4 group body
-    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise fast path
+    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise
 
-// Int8 conv with a static calibrated activation scale: the per-forward
-// max-abs pass over the input disappears (the fused quantizing im2col
-// already removed the separate quantization pass). Rates compare
-// row-for-row against BM_ConvWrnInt8. Pinned to the im2col lowering so it
-// stays the baseline BM_ConvWrnDirectInt8 is gated against.
+// The im2col lowering Conv2d forwards used before the image view covered
+// every stride, kept as the baseline the direct rows are gated against
+// (tools/bench_gate.py, direct_vs_im2col): `run_range(begin, end,
+// gemm_parallel)` unfolds and multiplies items [begin, end), and the items
+// spread over the pool the way Conv2d's schedule spreads them.
+template <typename RunRange>
+void RunIm2ColSchedule(int64_t batch, int64_t out_c, int64_t ohw,
+                       int64_t ckk, const RunRange& run_range) {
+  const bool fan_out = ShouldFanOut(batch * out_c * ohw * ckk);
+  const bool gemm_parallel = fan_out && batch < NumThreads() &&
+                             GemmParallelTiles(out_c, ohw, ckk) > batch;
+  if (fan_out && !gemm_parallel) {
+    ParallelFor(
+        batch, [&](int64_t b0, int64_t b1) { run_range(b0, b1, false); },
+        /*min_chunk=*/1);
+  } else {
+    run_range(0, batch, gemm_parallel);
+  }
+}
+
+// Int8 conv with a static calibrated activation scale, lowered through a
+// materialized im2col matrix: quantize each image once, unfold the bytes,
+// then multiply the pre-packed int8 weights. No max-abs pass (the scale is
+// static), so rates compare row-for-row against BM_ConvWrnInt8 and form
+// the baseline of BM_ConvWrnDirectInt8.
 void BM_ConvWrnInt8Calibrated(benchmark::State& state) {
   const int64_t in_c = state.range(0);
   const int64_t out_c = state.range(1);
@@ -199,29 +236,49 @@ void BM_ConvWrnInt8Calibrated(benchmark::State& state) {
   conv.Forward(x, false);
   conv.FinishActivationCalibration();
   conv.PrepareInt8Serving();
-  const ConvPath prev = ConvPathChoice();
-  SetConvPath(ConvPath::kIm2Col);
+  const Int8WeightState weights = conv.ExportInt8State().ValueOrDie();
+  const PackedS8Weights packed =
+      PackedS8Weights::Pack(weights.rows, weights.cols, weights.values.data());
+  GemmS8Epilogue ep;
+  ep.scale = weights.act_scale;
+  ep.row_scale = weights.scales.data();
+  const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
+  const int64_t ohw = out_hw * out_hw;
+  const int64_t ckk = weights.cols;
+  const int64_t chw = in_c * hw * hw;
   for (auto _ : state) {
-    Tensor y = conv.Forward(x, false);
+    Tensor y({batch, out_c, out_hw, out_hw});
+    RunIm2ColSchedule(batch, out_c, ohw, ckk,
+                      [&](int64_t begin, int64_t end, bool gemm_parallel) {
+      ScratchScope scope;
+      int8_t* q_img = AllocS8(scope, chw);
+      int8_t* cols = AllocS8(scope, ckk * ohw);
+      for (int64_t b = begin; b < end; ++b) {
+        QuantizeBufferS8(x.data() + b * chw, chw, 1.0f / weights.act_scale,
+                         q_img);
+        Im2Col(q_img, in_c, hw, hw, kernel, kernel, pad, stride, cols);
+        GemmS8ConvPackedA(packed, MatrixView(cols, ckk, ohw),
+                          y.data() + b * out_c * ohw, ep, gemm_parallel);
+      }
+    });
     benchmark::DoNotOptimize(y.data());
   }
-  SetConvPath(prev);
-  const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
-  state.SetItemsProcessed(state.iterations() * batch * out_c * out_hw *
-                          out_hw * in_c * kernel * kernel * 2);
+  state.SetItemsProcessed(state.iterations() * batch * out_c * ohw * ckk *
+                          2);
   state.SetLabel(GemmS8KernelName());
 }
 BENCHMARK(BM_ConvWrnInt8Calibrated)->Apply(WallClock)
     ->Args({3, 16, 32, 1, 3})     // stem (activation-pass heavy)
     ->Args({64, 64, 32, 1, 3})    // conv2 group body
+    ->Args({64, 128, 32, 2, 3})   // conv3 transition
     ->Args({128, 128, 16, 1, 3})  // conv3 group body
+    ->Args({128, 256, 16, 2, 3})  // conv4 transition
     ->Args({256, 256, 8, 1, 3})   // conv4 group body
-    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise fast path
+    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise
 
-// F32 conv with prepacked op(A) weight panels (pack-once serving) vs the
-// per-call PackA of BM_ConvWrn — same rows, bitwise identical outputs.
-// Pinned to the im2col lowering so it stays the baseline BM_ConvWrnDirect
-// is gated against.
+// F32 conv with prepacked op(A) weight panels, lowered through a
+// materialized im2col matrix: the baseline of BM_ConvWrnDirect (same rows
+// and bitwise-identical outputs; only the lowering differs).
 void BM_ConvWrnPrepacked(benchmark::State& state) {
   const int64_t in_c = state.range(0);
   const int64_t out_c = state.range(1);
@@ -232,31 +289,46 @@ void BM_ConvWrnPrepacked(benchmark::State& state) {
   const int64_t batch = 8;
   Rng rng(7);
   Conv2d conv(in_c, out_c, kernel, stride, pad, rng);
-  conv.Prepack(ServingPrecision::kFloat32);
   Tensor x = Tensor::Randn({batch, in_c, hw, hw}, rng);
-  const ConvPath prev = ConvPathChoice();
-  SetConvPath(ConvPath::kIm2Col);
+  const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
+  const int64_t ohw = out_hw * out_hw;
+  const int64_t ckk = in_c * kernel * kernel;
+  const PackedAWeights packed = PackedAWeights::Pack(
+      /*trans_a=*/false, out_c, ckk, conv.weight().value.data());
   for (auto _ : state) {
-    Tensor y = conv.Forward(x, false);
+    Tensor y({batch, out_c, out_hw, out_hw});
+    RunIm2ColSchedule(batch, out_c, ohw, ckk,
+                      [&](int64_t begin, int64_t end, bool gemm_parallel) {
+      ScratchScope scope;
+      float* cols = scope.Alloc(ckk * ohw);
+      for (int64_t b = begin; b < end; ++b) {
+        Im2Col(x.data() + b * in_c * hw * hw, in_c, hw, hw, kernel, kernel,
+               pad, stride, cols);
+        GemmConvPackedA(packed, MatrixView(cols, ckk, ohw), 1.0f,
+                        0.0f, y.data() + b * out_c * ohw, GemmEpilogue{},
+                        gemm_parallel);
+      }
+    });
     benchmark::DoNotOptimize(y.data());
   }
-  SetConvPath(prev);
-  const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
-  state.SetItemsProcessed(state.iterations() * batch * out_c * out_hw *
-                          out_hw * in_c * kernel * kernel * 2);
+  state.SetItemsProcessed(state.iterations() * batch * out_c * ohw * ckk *
+                          2);
   state.SetLabel(GemmKernelName());
 }
 BENCHMARK(BM_ConvWrnPrepacked)->Apply(WallClock)
     ->Args({3, 16, 32, 1, 3})     // stem
     ->Args({64, 64, 32, 1, 3})    // conv2 group body
+    ->Args({64, 128, 32, 2, 3})   // conv3 transition
     ->Args({128, 128, 16, 1, 3})  // conv3 group body
+    ->Args({128, 256, 16, 2, 3})  // conv4 transition
     ->Args({256, 256, 8, 1, 3})   // conv4 group body
-    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise fast path
+    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise
 
-// Im2col-free direct convolution: the GEMM's B pack gathers shifted row
-// views of the zero-padded image, so the im2col matrix is never
-// materialized. Same prepacked weights and shapes as BM_ConvWrnPrepacked;
-// outputs are bitwise identical (test-pinned), only the lowering differs.
+// Im2col-free convolution as Conv2d runs it: the GEMM's B pack gathers
+// the virtual im2col matrix from the zero-padded image, so no im2col
+// matrix is materialized. Same prepacked weights and shapes as
+// BM_ConvWrnPrepacked; outputs are bitwise identical (test-pinned), only
+// the lowering differs.
 void BM_ConvWrnDirect(benchmark::State& state) {
   const int64_t in_c = state.range(0);
   const int64_t out_c = state.range(1);
@@ -269,13 +341,10 @@ void BM_ConvWrnDirect(benchmark::State& state) {
   Conv2d conv(in_c, out_c, kernel, stride, pad, rng);
   conv.Prepack(ServingPrecision::kFloat32);
   Tensor x = Tensor::Randn({batch, in_c, hw, hw}, rng);
-  const ConvPath prev = ConvPathChoice();
-  SetConvPath(ConvPath::kDirect);
   for (auto _ : state) {
     Tensor y = conv.Forward(x, false);
     benchmark::DoNotOptimize(y.data());
   }
-  SetConvPath(prev);
   const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
   state.SetItemsProcessed(state.iterations() * batch * out_c * out_hw *
                           out_hw * in_c * kernel * kernel * 2);
@@ -284,13 +353,16 @@ void BM_ConvWrnDirect(benchmark::State& state) {
 BENCHMARK(BM_ConvWrnDirect)->Apply(WallClock)
     ->Args({3, 16, 32, 1, 3})      // stem
     ->Args({64, 64, 32, 1, 3})     // conv2 group body
+    ->Args({64, 128, 32, 2, 3})    // conv3 transition
     ->Args({128, 128, 16, 1, 3})   // conv3 group body
+    ->Args({128, 256, 16, 2, 3})   // conv4 transition
     ->Args({256, 256, 8, 1, 3});   // conv4 group body
 
-// Int8 direct convolution with calibrated activations: each input byte is
-// quantized exactly once into the padded image, then the conv-aware B
-// pack gathers it — no im2col matrix, no re-quantization. Baseline:
-// BM_ConvWrnInt8Calibrated (same rows, bitwise-identical outputs).
+// Int8 direct convolution with calibrated activations, as Conv2d runs it:
+// each input byte is quantized exactly once into the padded image, then
+// the conv-aware B pack gathers it — no im2col matrix, no
+// re-quantization. Baseline: BM_ConvWrnInt8Calibrated (same rows,
+// bitwise-identical outputs).
 void BM_ConvWrnDirectInt8(benchmark::State& state) {
   const int64_t in_c = state.range(0);
   const int64_t out_c = state.range(1);
@@ -306,13 +378,10 @@ void BM_ConvWrnDirectInt8(benchmark::State& state) {
   conv.Forward(x, false);
   conv.FinishActivationCalibration();
   conv.PrepareInt8Serving();
-  const ConvPath prev = ConvPathChoice();
-  SetConvPath(ConvPath::kDirect);
   for (auto _ : state) {
     Tensor y = conv.Forward(x, false);
     benchmark::DoNotOptimize(y.data());
   }
-  SetConvPath(prev);
   const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
   state.SetItemsProcessed(state.iterations() * batch * out_c * out_hw *
                           out_hw * in_c * kernel * kernel * 2);
@@ -321,7 +390,9 @@ void BM_ConvWrnDirectInt8(benchmark::State& state) {
 BENCHMARK(BM_ConvWrnDirectInt8)->Apply(WallClock)
     ->Args({3, 16, 32, 1, 3})      // stem
     ->Args({64, 64, 32, 1, 3})     // conv2 group body
+    ->Args({64, 128, 32, 2, 3})    // conv3 transition
     ->Args({128, 128, 16, 1, 3})   // conv3 group body
+    ->Args({128, 256, 16, 2, 3})   // conv4 transition
     ->Args({256, 256, 8, 1, 3});   // conv4 group body
 
 // The fan-out threshold sweep: WRN 3x3 convs (channels -> channels,

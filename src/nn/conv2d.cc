@@ -104,19 +104,6 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   ep.row_bias = has_bias_ ? bias_.value.data() : nullptr;
   ep.relu = fuse_relu;
 
-  // 1x1/stride-1 convolution is a plain channel-mixing GEMM: the im2col
-  // matrix would be the image itself, so skip the unfold entirely.
-  const bool pointwise = kernel_ == 1 && stride_ == 1 && pad_ == 0;
-
-  // Im2col-free direct path (inference, stride 1): the GEMM packs its B
-  // panels straight from a zero-padded image copy — or the input itself
-  // when pad == 0 — instead of a materialized im2col matrix. Bitwise
-  // identical output (see conv_direct.h); im2col remains the fallback for
-  // strided geometries, training (backward recomputes the unfold, so the
-  // forward keeps the same lowering), and POE_CONV_PATH=im2col.
-  const bool direct =
-      !pointwise && !training && UseDirectConv(kernel_, stride_);
-
   // Pack-once fast path: the persistent op(A) weight panels are bitwise
   // identical to the per-call PackA output, so the product is too.
   const bool packed = !training && f32_packed_.load(std::memory_order_acquire);
@@ -127,34 +114,11 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
       PickSchedule(batch, out_channels_, ohw, ckk, training);
   const bool gemm_parallel = schedule == Schedule::kGemmParallel;
 
-  auto run_gemm = [&](const float* cols_b, float* out_b) {
-    if (packed) {
-      GemmPackedA(packed_w_, ohw, cols_b, 1.0f, 0.0f, out_b, ep,
-                  gemm_parallel);
-    } else {
-      GemmEx(false, false, out_channels_, ohw, ckk, 1.0f, wp, cols_b, 0.0f,
-             out_b, ep, gemm_parallel);
-    }
-  };
+  // The GEMM packs its B panels straight from a view of the image (see
+  // tensor/conv_direct.h): the input itself when pad == 0, else a
+  // per-thread zero-bordered copy. The border is zeroed once — interior
+  // copies never touch it, so the batch loop reuses the buffer.
   auto run_range = [&](int64_t begin, int64_t end) {
-    ScratchScope scope;
-    float* cols = pointwise ? nullptr : scope.Alloc(ckk * ohw);
-    for (int64_t b = begin; b < end; ++b) {
-      const float* in_b = in + b * in_channels_ * h * w;
-      float* out_b = out + b * out_channels_ * ohw;
-      if (pointwise) {
-        run_gemm(in_b, out_b);
-      } else {
-        Im2Col(in_b, in_channels_, h, w, kernel_, kernel_, pad_, stride_,
-               cols);
-        run_gemm(cols, out_b);
-      }
-    }
-  };
-  // Direct path: the padded scratch is per-thread and its border is
-  // zeroed once — interior copies never touch the border, so the batch
-  // loop reuses it with a single memset's worth of zeroing total.
-  auto run_range_direct = [&](int64_t begin, int64_t end) {
     ScratchScope scope;
     const int64_t pelems = PaddedImageElems(in_channels_, h, w, pad_);
     float* pbuf = pelems > 0 ? scope.Alloc(pelems) : nullptr;
@@ -165,13 +129,14 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
     img.width = w;
     img.kernel = kernel_;
     img.pad = pad_;
+    img.stride = stride_;
     for (int64_t b = begin; b < end; ++b) {
       const float* in_b = in + b * in_channels_ * h * w;
       if (pbuf != nullptr) {
         CopyImageInterior(in_b, in_channels_, h, w, pad_, pbuf);
         img.padded = pbuf;
       } else {
-        img.padded = in_b;  // pad == 0: the view aliases the input
+        img.padded = in_b;
       }
       float* out_b = out + b * out_channels_ * ohw;
       if (packed) {
@@ -183,11 +148,7 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
       }
     }
   };
-  if (direct) {
-    RunSchedule(schedule, batch, run_range_direct);
-  } else {
-    RunSchedule(schedule, batch, run_range);
-  }
+  RunSchedule(schedule, batch, run_range);
 
   if (training) {
     cached_input_ = input;
@@ -199,12 +160,11 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
 
 // The int8 serving forward: activations are quantized per-tensor (static
 // calibrated scale when present, else a dynamic max-abs pass) with the
-// vectorized quantizer — fused into the column matrix for pointwise
-// convs, one whole-image pass for k > 1 — and multiplied against the
-// pre-packed int8 weight panels. The GEMM's output pass applies
-// scale_act * wscale[channel] dequantization, bias, and the fused ReLU,
-// so no f32 weight or separate dequant sweep exists anywhere on this
-// path.
+// vectorized quantizer, once per input byte, into the image view the GEMM
+// packs from, and multiplied against the pre-packed int8 weight panels.
+// The GEMM's output pass applies scale_act * wscale[channel]
+// dequantization, bias, and the fused ReLU, so no f32 weight or separate
+// dequant sweep exists anywhere on this path.
 Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
   POE_CHECK_EQ(input.ndim(), 4);
   POE_CHECK_EQ(input.dim(1), in_channels_);
@@ -233,42 +193,14 @@ Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
   ep.row_bias = has_bias_ ? bias_.value.data() : nullptr;
   ep.relu = fuse_relu;
 
-  const bool pointwise = kernel_ == 1 && stride_ == 1 && pad_ == 0;
-  const bool direct = !pointwise && UseDirectConv(kernel_, stride_);
   const Schedule schedule = PickSchedule(batch, out_channels_, ohw, ckk,
                                          /*training=*/false);
   const bool gemm_parallel = schedule == Schedule::kGemmParallel;
 
-  // Pointwise convs quantize straight into the column matrix (the fully
-  // fused case: the unfold is the identity, so one vectorized pass does
-  // everything). Other k > 1 convs quantize the image exactly once
-  // (vectorized) and gather bytes — directly from the padded image on the
-  // direct path, through a materialized im2col matrix on the fallback.
-  // The fused Im2ColQuantize alternative would re-quantize every element
-  // k*k times, which measures ~2x slower at WRN 3x3 geometries
-  // (docs/PERF.md), so it is not used anywhere. All orders are bitwise
-  // identical.
+  // pad == 0 quantizes the whole image straight into the view's buffer;
+  // pad > 0 quantizes once into a flat scratch and row-copies the bytes
+  // into the zero-bordered interior (a memcpy, not a second rounding).
   auto run_range = [&](int64_t begin, int64_t end) {
-    ScratchScope scope;
-    int8_t* cols = AllocS8(scope, pointwise ? chw : ckk * ohw);
-    int8_t* q_img = pointwise ? nullptr : AllocS8(scope, chw);
-    for (int64_t b = begin; b < end; ++b) {
-      float* out_b = out + b * out_channels_ * ohw;
-      if (pointwise) {
-        QuantizeBufferS8(in + b * chw, chw, inv_scale, cols);
-      } else {
-        QuantizeBufferS8(in + b * chw, chw, inv_scale, q_img);
-        Im2Col(q_img, in_channels_, h, w, kernel_, kernel_, pad_, stride_,
-               cols);
-      }
-      GemmS8PackedA(qweight_, ohw, cols, out_b, ep, gemm_parallel);
-    }
-  };
-  // Direct path: pad == 0 quantizes the whole image straight into the
-  // view's buffer; pad > 0 quantizes once into a flat scratch and
-  // row-copies the bytes into the zero-bordered interior (a memcpy, not a
-  // second rounding — each input byte is quantized exactly once).
-  auto run_range_direct = [&](int64_t begin, int64_t end) {
     ScratchScope scope;
     const int64_t pelems = PaddedImageElems(in_channels_, h, w, pad_);
     int8_t* q_pad = AllocS8(scope, pad_ > 0 ? pelems : chw);
@@ -281,6 +213,7 @@ Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
     img.width = w;
     img.kernel = kernel_;
     img.pad = pad_;
+    img.stride = stride_;
     for (int64_t b = begin; b < end; ++b) {
       float* out_b = out + b * out_channels_ * ohw;
       if (pad_ > 0) {
@@ -292,11 +225,7 @@ Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
       GemmS8ConvPackedA(qweight_, img, out_b, ep, gemm_parallel);
     }
   };
-  if (direct) {
-    RunSchedule(schedule, batch, run_range_direct);
-  } else {
-    RunSchedule(schedule, batch, run_range);
-  }
+  RunSchedule(schedule, batch, run_range);
   return output;
 }
 
@@ -449,11 +378,11 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
             Im2Col(in + b * in_channels_ * h * w, in_channels_, h, w,
                    kernel_, kernel_, pad_, stride_, cols);
             // dW += dY_b (out_c x ohw) * cols_b^T (ohw x ckk).
-            GemmSeq(false, true, out_channels_, ckk, ohw, 1.0f, gout_b, cols,
-                    1.0f, dw_local);
+            GemmEx(false, true, out_channels_, ckk, ohw, 1.0f, gout_b, cols,
+                   1.0f, dw_local, GemmEpilogue{}, /*parallel=*/false);
             // dcols = W^T (ckk x out_c) * dY_b (out_c x ohw).
-            GemmSeq(true, false, ckk, ohw, out_channels_, 1.0f, wp, gout_b,
-                    0.0f, dcols);
+            GemmEx(true, false, ckk, ohw, out_channels_, 1.0f, wp, gout_b,
+                   0.0f, dcols, GemmEpilogue{}, /*parallel=*/false);
             Col2Im(dcols, in_channels_, h, w, kernel_, kernel_, pad_,
                    stride_, gin + b * in_channels_ * h * w);
             for (int64_t oc = 0; oc < bsize; ++oc) {

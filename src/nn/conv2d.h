@@ -1,8 +1,8 @@
-// 2-D convolution layer lowered to GEMM, batch-parallel. Inference with
-// stride 1 runs im2col-free: the GEMM packs its B panels straight from a
-// zero-padded image view (tensor/conv_direct.h), bitwise identical to the
-// im2col lowering, which remains the fallback for strided geometries and
-// training.
+// 2-D convolution layer lowered to GEMM, batch-parallel. Every forward
+// (f32 and int8, training and inference, any stride) runs im2col-free: the
+// GEMM packs its B panels straight from a zero-padded image view
+// (tensor/conv_direct.h), bitwise identical to im2col + GEMM. Only
+// Backward unfolds.
 #ifndef POE_NN_CONV2D_H_
 #define POE_NN_CONV2D_H_
 
@@ -24,11 +24,10 @@ namespace poe {
 /// GEMM layout). Bias is optional and off by default, matching WRN blocks
 /// where batch-norm absorbs the bias.
 ///
-/// Steady-state Forward makes no scratch allocations: the direct path's
-/// padded-image buffer (and the fallback's im2col buffer) come from the
-/// per-thread arena, 1x1/stride-1 convolutions skip the unfold entirely,
-/// and bias (+ fused ReLU at inference) is applied by the GEMM epilogue
-/// instead of a second pass over the output.
+/// Steady-state Forward makes no scratch allocations: the padded-image
+/// buffer comes from the per-thread arena (pad == 0 needs none in f32: the
+/// view aliases the input), and bias (+ fused ReLU at inference) is
+/// applied by the GEMM epilogue instead of a second pass over the output.
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
@@ -45,9 +44,9 @@ class Conv2d : public Module {
   /// (persistence exports the portable row-major form via Unpack) and
   /// releases the f32 weight storage. Inference Forward then quantizes
   /// activations per-tensor — with the static calibrated scale when one
-  /// was observed, else a dynamic max-abs scale; fused straight into the
-  /// column matrix for pointwise convs — and runs the int8 GEMM with
-  /// dequantization fused into its output pass. Irreversible; training
+  /// was observed, else a dynamic max-abs scale — into the image view the
+  /// int8 GEMM packs from, and runs the GEMM with dequantization fused
+  /// into its output pass. Irreversible; training
   /// is forbidden afterwards.
   void PrepareInt8Serving() override;
   int64_t Int8WeightBytes() const override;

@@ -1,31 +1,12 @@
 #include "tensor/conv_direct.h"
 
 #include <cstring>
-#include <string>
 
-#include "util/env.h"
 #include "util/logging.h"
 
 namespace poe {
 
 namespace {
-
-ConvPath ParseConvPathEnv() {
-  const std::string value = GetEnvOr("POE_CONV_PATH", "auto");
-  if (value == "im2col") return ConvPath::kIm2Col;
-  if (value == "direct") return ConvPath::kDirect;
-  if (value != "auto") {
-    POE_LOG(Warning) << "POE_CONV_PATH=" << value
-                     << " not recognized (auto|im2col|direct); using auto";
-  }
-  return ConvPath::kAuto;
-}
-
-// Mutable process-wide choice, seeded from the environment exactly once.
-ConvPath& ConvPathState() {
-  static ConvPath path = ParseConvPathEnv();
-  return path;
-}
 
 template <typename T>
 void ZeroImageBorderT(T* padded, int64_t channels, int64_t height,
@@ -65,10 +46,6 @@ void CopyImageInteriorT(const T* image, int64_t channels, int64_t height,
 }
 
 }  // namespace
-
-ConvPath ConvPathChoice() { return ConvPathState(); }
-
-void SetConvPath(ConvPath path) { ConvPathState() = path; }
 
 void ZeroImageBorder(float* padded, int64_t channels, int64_t height,
                      int64_t width, int64_t pad) {

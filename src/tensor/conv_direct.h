@@ -1,56 +1,28 @@
-// Im2col-free direct convolution support: shifted-row views of a padded
-// input image that the blocked GEMM packs its B panels from directly.
+// Im2col-free convolution: views of a zero-padded input image that the
+// blocked GEMM packs its B panels from directly. Every Conv2d forward
+// (f32 and int8, training and inference, any stride and pad) runs through
+// one of these views; im2col survives only in Conv2d::Backward.
 //
-// The direct path replaces the materialized im2col matrix (which
-// duplicates every input element kernel*kernel times) with a single
-// zero-padded copy of the image. The GEMM's B-panel packers gather the
-// *virtual* im2col matrix straight out of that copy while packing: for
-// stride 1 a run of output columns inside one output row is contiguous in
-// the padded image, so the gather is spans/memcpys (f32) or straight SIMD
-// loads (int8) rather than an element-at-a-time unfold. The packed panel
-// bytes are identical to what PackB/PackBs8 would produce from the real
-// im2col matrix, so the GEMM arithmetic — and therefore the conv output —
-// is bitwise identical to the im2col path on every kernel tier, by
+// The view replaces the materialized im2col matrix (which duplicates
+// every input element kernel*kernel times) with a single zero-padded copy
+// of the image, or the image itself when pad == 0. The GEMM's B-panel
+// packers gather the *virtual* im2col matrix straight out of it while
+// packing: column (oh, ow) of the (c, kh, kw) row reads padded element
+// (c, oh*stride + kh, ow*stride + kw). At stride 1 a run of output columns
+// inside one output row is contiguous in the padded image, so the gather
+// is spans/memcpys (f32) or straight SIMD loads (int8); larger strides
+// gather element by element. A 1x1, pad-0, stride-1 view is its own B
+// matrix, and the GEMM packs it as one. The packed panel bytes are
+// identical to what PackB/PackBs8 would produce from the real im2col
+// matrix, so the GEMM arithmetic — and therefore the conv output — is
+// bitwise identical to im2col + GEMM on every kernel tier, by
 // construction.
-//
-// Coverage: stride 1, square kernels, any padding (kernel 1 with pad 0 is
-// already served by the cheaper pointwise path in Conv2d). Strided
-// geometries fall back to im2col; `POE_CONV_PATH=im2col|direct|auto`
-// (or SetConvPath) overrides the automatic choice for A/B benching.
 #ifndef POE_TENSOR_CONV_DIRECT_H_
 #define POE_TENSOR_CONV_DIRECT_H_
 
 #include <cstdint>
 
 namespace poe {
-
-/// Which lowering Conv2d uses for non-pointwise forward passes.
-enum class ConvPath {
-  kAuto,    ///< direct when the geometry is covered, else im2col
-  kIm2Col,  ///< always materialize the im2col matrix
-  kDirect,  ///< direct when covered; uncovered geometries still fall back
-};
-
-/// Current process-wide path choice. Initialized once from POE_CONV_PATH
-/// ("auto" | "im2col" | "direct", default auto).
-ConvPath ConvPathChoice();
-
-/// Overrides the path choice (tests and A/B benches). Not thread-safe
-/// against concurrent forwards; flip it only around single-threaded
-/// measurement or setup code.
-void SetConvPath(ConvPath path);
-
-/// True when the direct path covers this geometry: stride 1 (the padding
-/// is absorbed into the padded image copy, so any pad works).
-inline bool DirectConvSupported(int64_t kernel, int64_t stride) {
-  return stride == 1 && kernel >= 1;
-}
-
-/// Combined decision: the configured path choice applied to a geometry.
-inline bool UseDirectConv(int64_t kernel, int64_t stride) {
-  return ConvPathChoice() != ConvPath::kIm2Col &&
-         DirectConvSupported(kernel, stride);
-}
 
 /// A zero-padded image the GEMM reads the virtual im2col matrix from.
 /// `padded` holds channels x (height + 2*pad) x (width + 2*pad) elements;
@@ -62,17 +34,22 @@ struct ConvImageViewT {
   int64_t channels = 0;
   int64_t height = 0;  ///< logical (unpadded) image height
   int64_t width = 0;   ///< logical (unpadded) image width
-  int64_t kernel = 0;  ///< square kernel extent (stride is always 1)
+  int64_t kernel = 0;  ///< square kernel extent
   int64_t pad = 0;
+  int64_t stride = 1;
 
   int64_t padded_h() const { return height + 2 * pad; }
   int64_t padded_w() const { return width + 2 * pad; }
-  int64_t out_h() const { return height + 2 * pad - kernel + 1; }
-  int64_t out_w() const { return width + 2 * pad - kernel + 1; }
+  int64_t out_h() const { return (height + 2 * pad - kernel) / stride + 1; }
+  int64_t out_w() const { return (width + 2 * pad - kernel) / stride + 1; }
   /// GEMM reduction depth (im2col rows): channels * kernel^2.
   int64_t depth() const { return channels * kernel * kernel; }
   /// GEMM output columns (im2col columns): out_h * out_w.
   int64_t cols() const { return out_h() * out_w(); }
+  /// True when the virtual im2col matrix is the image itself, row-major
+  /// channels x (height * width): the GEMM then packs `padded` as a plain
+  /// B matrix.
+  bool is_matrix() const { return kernel == 1 && pad == 0 && stride == 1; }
 };
 
 using ConvImageView = ConvImageViewT<float>;

@@ -279,6 +279,8 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   POE_CHECK_GE(n, 0);
   POE_CHECK_GE(k, 0);
   if (m == 0 || n == 0) return;
+  // A 1x1, pad-0, stride-1 view is its own B matrix: pack it as one.
+  if (conv_img != nullptr && conv_img->is_matrix()) conv_img = nullptr;
   if (k == 0 || alpha == 0.0f) {
     ScaleOnly(m, n, beta, c, ep);
     return;
@@ -395,7 +397,7 @@ void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
                 float alpha, float beta, float* c, const GemmEpilogue& ep,
                 bool parallel) {
   GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, m, img.cols(),
-             img.depth(), alpha, a, /*b=*/nullptr, beta, c, ep, parallel,
+             img.depth(), alpha, a, /*b=*/img.padded, beta, c, ep, parallel,
              /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr, &img);
 }
 
@@ -451,22 +453,13 @@ PackedBWeights PackedBWeights::Pack(bool trans_b, int64_t k, int64_t n,
   return packed;
 }
 
-void GemmPackedA(const PackedAWeights& a, int64_t n, const float* b,
-                 float alpha, float beta, float* c, const GemmEpilogue& ep,
-                 bool parallel) {
-  POE_CHECK(!a.empty()) << "GemmPackedA on unpacked weights";
-  GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, a.m_, n, a.k_, alpha,
-             /*a=*/nullptr, b, beta, c, ep, parallel, a.data_.data(),
-             /*prepacked_b=*/nullptr, /*conv_img=*/nullptr);
-}
-
 void GemmConvPackedA(const PackedAWeights& a, const ConvImageView& img,
                      float alpha, float beta, float* c, const GemmEpilogue& ep,
                      bool parallel) {
   POE_CHECK(!a.empty()) << "GemmConvPackedA on unpacked weights";
   POE_CHECK_EQ(a.k_, img.depth());
   GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, a.m_, img.cols(), a.k_,
-             alpha, /*a=*/nullptr, /*b=*/nullptr, beta, c, ep, parallel,
+             alpha, /*a=*/nullptr, /*b=*/img.padded, beta, c, ep, parallel,
              a.data_.data(), /*prepacked_b=*/nullptr, &img);
 }
 
@@ -483,13 +476,6 @@ void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c) {
   GemmEx(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, GemmEpilogue{},
          /*parallel=*/true);
-}
-
-void GemmSeq(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-             float alpha, const float* a, const float* b, float beta,
-             float* c) {
-  GemmEx(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, GemmEpilogue{},
-         /*parallel=*/false);
 }
 
 void GemmRef(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

@@ -1,5 +1,6 @@
 // Blocked, packed, SIMD-dispatched single-precision GEMM used by conv
-// (via im2col) and linear layers. See docs/PERF.md for the design.
+// (through an im2col-free image view, tensor/conv_direct.h) and linear
+// layers. See docs/PERF.md for the design.
 #ifndef POE_TENSOR_GEMM_H_
 #define POE_TENSOR_GEMM_H_
 
@@ -36,14 +37,9 @@ struct GemmEpilogue {
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c);
 
-/// Sequential variant: the same product, always on the calling thread (for
-/// callers that parallelize at an outer level).
-void GemmSeq(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-             float alpha, const float* a, const float* b, float beta,
-             float* c);
-
-/// Gemm with a fused epilogue. `parallel` selects Gemm/GemmSeq behavior;
-/// a parallel product still runs inline unless ShouldFanOut(m * n * k).
+/// Gemm with a fused epilogue. `parallel = false` keeps the product on the
+/// calling thread (for callers that parallelize at an outer level); a
+/// parallel product still runs inline unless ShouldFanOut(m * n * k).
 /// The product is bitwise identical for both settings: every C tile is
 /// produced by one task with a fixed k-accumulation order.
 void GemmEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
@@ -55,8 +51,8 @@ void GemmEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 /// GEMM. Serving layers whose weight matrix is the A operand (Conv2d:
 /// [out_channels x ckk]) build this at prepack time so steady-state
 /// forwards skip the per-call PackA pass. The panel bytes are identical to
-/// what the on-the-fly pack produces, so GemmPackedA is bitwise identical
-/// to Gemm/GemmEx. Valid only within the process that packed it (the
+/// what the on-the-fly pack produces, so GemmConvPackedA is bitwise
+/// identical to GemmConvEx. Valid only within the process that packed it (the
 /// layout depends on the dispatched kernel geometry).
 class PackedAWeights {
  public:
@@ -73,9 +69,6 @@ class PackedAWeights {
   }
 
  private:
-  friend void GemmPackedA(const PackedAWeights&, int64_t, const float*,
-                          float alpha, float beta, float*,
-                          const GemmEpilogue&, bool);
   friend void GemmConvPackedA(const PackedAWeights&, const ConvImageView&,
                               float alpha, float beta, float*,
                               const GemmEpilogue&, bool);
@@ -109,15 +102,6 @@ class PackedBWeights {
   int64_t k_ = 0, n_ = 0;
 };
 
-/// GemmEx with op(A) pre-packed: C (m x n) = alpha * packed_a * op(B) +
-/// beta * C. Bitwise identical to the equivalent GemmEx call on the
-/// unpacked operand, for every kernel tier and both parallel settings.
-void GemmPackedA(const PackedAWeights& a, int64_t n, const float* b,
-                 float alpha, float beta, float* c, const GemmEpilogue& ep,
-                 bool parallel);
-/// Convenience overload: trans_b variant is not needed by any layer (conv
-/// consumes untransposed im2col columns), so op(B) = B (k x n).
-
 /// GemmEx with op(B) pre-packed: C (m x n) = alpha * op(A) * packed_b +
 /// beta * C, same bitwise guarantee. op(A) is A (m x k) when !trans_a.
 void GemmPackedB(int64_t m, const float* a, bool trans_a,
@@ -127,16 +111,19 @@ void GemmPackedB(int64_t m, const float* a, bool trans_a,
 /// Direct (im2col-free) convolution as GEMM: C (m x img.cols()) =
 /// alpha * A * vcol(img) + beta * C, where vcol(img) is the virtual
 /// im2col matrix of the padded image (img.depth() x img.cols()) that the
-/// B-panel pack gathers on the fly (PackBConv). A is the m x img.depth()
-/// row-major weight matrix. Bitwise identical to GemmEx over the
-/// materialized im2col matrix on every kernel tier, because the packed
-/// panels are byte-identical (see conv_direct.h).
+/// B-panel pack gathers on the fly (PackBConv), at any stride. A 1x1,
+/// pad-0, stride-1 view is packed as the plain k x n matrix it is (so a
+/// 1x1 view of any row-major B makes this a plain GEMM). A is the
+/// m x img.depth() row-major weight matrix. Bitwise identical to GemmEx
+/// over the materialized im2col matrix on every kernel tier, because the
+/// packed panels are byte-identical (see conv_direct.h).
 void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
                 float alpha, float beta, float* c, const GemmEpilogue& ep,
                 bool parallel);
 
 /// GemmConvEx with the weight operand pre-packed (the serving hot path:
-/// prepacked weights x virtual im2col). Same bitwise guarantee.
+/// prepacked weights x virtual im2col). Same bitwise guarantee, for every
+/// kernel tier and both parallel settings.
 void GemmConvPackedA(const PackedAWeights& a, const ConvImageView& img,
                      float alpha, float beta, float* c, const GemmEpilogue& ep,
                      bool parallel);

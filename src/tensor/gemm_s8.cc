@@ -69,11 +69,12 @@ struct KernelS8 {
 };
 
 // Shared address math for the SIMD direct-conv B packers: one 16-column
-// block of the virtual im2col matrix reads 16 consecutive output pixels,
-// which for stride 1 are one contiguous run of the padded image when they
-// sit inside a single output row, else a handful of row segments. The
-// segment structure depends only on the block's starting column — it is
-// identical for every k row — so the packers compute it once per panel.
+// block of the virtual im2col matrix reads 16 consecutive output pixels.
+// At stride 1 they are one contiguous run of the padded image when they
+// sit inside a single output row, else a handful of row segments; at
+// larger strides every pixel is its own one-byte segment. The segment
+// structure depends only on the block's starting column — it is identical
+// for every k row — so the packers compute it once per panel.
 struct ConvColSeg {
   int32_t dst;  // byte offset inside the 16-byte block
   int32_t len;
@@ -81,13 +82,15 @@ struct ConvColSeg {
 };
 
 // Builds the segment list for the 16 columns starting at flat output
-// index j. Returns 0 and sets *contig_off when the block is contiguous;
-// out_w >= 1 bounds the list by ceil(16/out_w) + 1 <= 17 entries.
+// index j. Returns 0 and sets *contig_off when the block is contiguous
+// (stride 1 only); out_w >= 1 bounds the list by ceil(16/out_w) + 1 <= 17
+// entries at stride 1 and by 16 otherwise.
 inline int BuildConvColSegs(int64_t j, int64_t out_w, int64_t pw,
-                            int64_t* contig_off, ConvColSeg* segs) {
+                            int64_t stride, int64_t* contig_off,
+                            ConvColSeg* segs) {
   const int64_t oh = j / out_w;
   const int64_t ow = j - oh * out_w;
-  if (ow + 16 <= out_w) {
+  if (stride == 1 && ow + 16 <= out_w) {
     *contig_off = oh * pw + ow;
     return 0;
   }
@@ -97,10 +100,10 @@ inline int BuildConvColSegs(int64_t j, int64_t out_w, int64_t pw,
   while (left > 0) {
     const int64_t soh = jj / out_w;
     const int64_t sow = jj - soh * out_w;
-    const int64_t len = std::min(left, out_w - sow);
+    const int64_t len = stride == 1 ? std::min(left, out_w - sow) : 1;
     segs[nseg].dst = static_cast<int32_t>(16 - left);
     segs[nseg].len = static_cast<int32_t>(len);
-    segs[nseg].src = soh * pw + sow;
+    segs[nseg].src = (soh * pw + sow) * stride;
     ++nseg;
     left -= len;
     jj += len;
@@ -111,9 +114,11 @@ inline int BuildConvColSegs(int64_t j, int64_t out_w, int64_t pw,
 #ifdef POE_GEMM_S8_X86
 // Loads the 16 virtual-im2col bytes of one k row for a column block:
 // `row` is the padded image shifted by that row's (c, kh, kw) offset.
-// Contiguous blocks are a single unaligned load (always in bounds: the
-// rightmost tap of the last output pixel is the last padded-image byte);
-// row-crossing blocks assemble their segments into a stack buffer first.
+// Contiguous blocks (stride 1 only) are a single unaligned load, always
+// in bounds: the rightmost tap of the last output pixel is the last
+// padded-image byte. Other blocks assemble their segments into a stack
+// buffer first, byte by byte when every pixel is its own segment, so
+// they read only real taps.
 inline __m128i LoadConvBlock16(const int8_t* row, int64_t contig_off,
                                const ConvColSeg* segs, int nseg) {
   if (nseg == 0) {
@@ -121,9 +126,13 @@ inline __m128i LoadConvBlock16(const int8_t* row, int64_t contig_off,
         reinterpret_cast<const __m128i*>(row + contig_off));
   }
   alignas(16) int8_t buf[16];
-  for (int s = 0; s < nseg; ++s) {
-    std::memcpy(buf + segs[s].dst, row + segs[s].src,
-                static_cast<size_t>(segs[s].len));
+  if (nseg == 16) {
+    for (int s = 0; s < 16; ++s) buf[s] = row[segs[s].src];
+  } else {
+    for (int s = 0; s < nseg; ++s) {
+      std::memcpy(buf + segs[s].dst, row + segs[s].src,
+                  static_cast<size_t>(segs[s].len));
+    }
   }
   return _mm_load_si128(reinterpret_cast<const __m128i*>(buf));
 }
@@ -355,7 +364,7 @@ __attribute__((target("avx2"))) void PackBs8ConvAvx2_16x2(
       int64_t contig_off = 0;
       ConvColSeg segs[17];
       const int nseg =
-          BuildConvColSegs(j0 + jp, out_w, pw, &contig_off, segs);
+          BuildConvColSegs(j0 + jp, out_w, pw, img.stride, &contig_off, segs);
       __m256i sum_lo = _mm256_setzero_si256();  // columns 0..7, int32
       __m256i sum_hi = _mm256_setzero_si256();  // columns 8..15
       int8_t* dst = panel;
@@ -631,7 +640,7 @@ PackBs8ConvVnni16x4(const ConvImageViewS8& img, int64_t j0, int64_t nc,
       int64_t contig_off = 0;
       ConvColSeg segs[17];
       const int nseg =
-          BuildConvColSegs(j0 + jp, out_w, pw, &contig_off, segs);
+          BuildConvColSegs(j0 + jp, out_w, pw, img.stride, &contig_off, segs);
       __m512i sums = _mm512_setzero_si512();
       int8_t* dst = panel;
       ConvRowCursor cur(img);
@@ -938,6 +947,8 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   POE_CHECK_GE(k, 0);
   POE_CHECK_LE(k, kMaxK) << "int8 GEMM depth would risk int32 overflow";
   if (m == 0 || n == 0) return;
+  // A 1x1, pad-0, stride-1 view is its own B matrix: pack it as one.
+  if (conv_img != nullptr && conv_img->is_matrix()) conv_img = nullptr;
   if (k == 0) {
     for (int64_t i = 0; i < m; ++i)
       for (int64_t j = 0; j < n; ++j) c[i * n + j] = DequantOne(i, j, 0, ep);
@@ -1054,28 +1065,13 @@ PackedS8Weights PackedS8Weights::Pack(int64_t m, int64_t k,
   return packed;
 }
 
-void GemmS8PackedA(const PackedS8Weights& a, int64_t n, const int8_t* b,
-                   float* c, const GemmS8Epilogue& epilogue, bool parallel) {
-  POE_CHECK(!a.empty()) << "GemmS8PackedA on unpacked weights";
-  GemmS8Impl(/*trans_a=*/false, /*trans_b=*/false, a.m_, n, a.k_,
-             /*a=*/nullptr, b, c, epilogue, parallel, a.data_.data(),
-             /*prepacked_b=*/nullptr, /*conv_img=*/nullptr);
-}
-
-void GemmS8Conv(int64_t m, const int8_t* a, const ConvImageViewS8& img,
-                float* c, const GemmS8Epilogue& epilogue, bool parallel) {
-  GemmS8Impl(/*trans_a=*/false, /*trans_b=*/false, m, img.cols(),
-             img.depth(), a, /*b=*/nullptr, c, epilogue, parallel,
-             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr, &img);
-}
-
 void GemmS8ConvPackedA(const PackedS8Weights& a, const ConvImageViewS8& img,
                        float* c, const GemmS8Epilogue& epilogue,
                        bool parallel) {
   POE_CHECK(!a.empty()) << "GemmS8ConvPackedA on unpacked weights";
   POE_CHECK_EQ(a.k_, img.depth());
   GemmS8Impl(/*trans_a=*/false, /*trans_b=*/false, a.m_, img.cols(), a.k_,
-             /*a=*/nullptr, /*b=*/nullptr, c, epilogue, parallel,
+             /*a=*/nullptr, /*b=*/img.padded, c, epilogue, parallel,
              a.data_.data(), /*prepacked_b=*/nullptr, &img);
 }
 

@@ -69,8 +69,6 @@ class PackedS8Weights {
   int64_t nbytes() const { return static_cast<int64_t>(data_.size()); }
 
  private:
-  friend void GemmS8PackedA(const PackedS8Weights&, int64_t, const int8_t*,
-                            float*, const GemmS8Epilogue&, bool);
   friend void GemmS8ConvPackedA(const PackedS8Weights&,
                                 const ConvImageViewS8&, float*,
                                 const GemmS8Epilogue&, bool);
@@ -78,22 +76,15 @@ class PackedS8Weights {
   int64_t m_ = 0, k_ = 0;
 };
 
-/// GemmS8 with op(A) pre-packed and op(B) = B (k x n, untransposed):
-/// C (m x n) = epilogue(packed_a * B). The conv im2col serving path.
-void GemmS8PackedA(const PackedS8Weights& a, int64_t n, const int8_t* b,
-                   float* c, const GemmS8Epilogue& epilogue, bool parallel);
-
-/// Direct (im2col-free) int8 convolution as GEMM: op(B) is the virtual
-/// im2col matrix of the quantized padded image, gathered while packing
-/// (PackBs8Conv / the kernels' SIMD conv packers). Panel bytes and colsums
-/// are identical to packing the materialized im2col matrix and the int32
-/// accumulation is exact, so outputs are bitwise identical to
-/// GemmS8/GemmS8PackedA over im2col on every kernel tier.
-void GemmS8Conv(int64_t m, const int8_t* a, const ConvImageViewS8& img,
-                float* c, const GemmS8Epilogue& epilogue, bool parallel);
-
-/// GemmS8Conv with the weight operand pre-packed (the int8 conv serving
-/// hot path). Same bitwise guarantee.
+/// Direct (im2col-free) int8 convolution as GEMM with the weight operand
+/// pre-packed — the int8 conv serving path: C (m x img.cols()) =
+/// epilogue(packed_a * vcol(img)), where vcol(img) is the virtual im2col
+/// matrix of the quantized padded image, gathered while packing
+/// (PackBs8Conv / the kernels' SIMD conv packers) at any stride. A 1x1,
+/// pad-0, stride-1 view is packed as the plain k x n matrix it is. Panel
+/// bytes and colsums are identical to packing the materialized im2col
+/// matrix and the int32 accumulation is exact, so outputs are bitwise
+/// identical to GemmS8 over im2col on every kernel tier.
 void GemmS8ConvPackedA(const PackedS8Weights& a, const ConvImageViewS8& img,
                        float* c, const GemmS8Epilogue& epilogue,
                        bool parallel);
@@ -158,9 +149,8 @@ void GemmS8Ref(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 const char* GemmS8KernelName();
 
 /// The project-wide int8 rounding rule for one value: scale, clamp to
-/// [-127, 127], round half away from zero. QuantizeBufferS8 and the fused
-/// quantizing im2col both apply exactly this, so quantize-then-gather and
-/// gather-then-quantize produce bitwise identical columns.
+/// [-127, 127], round half away from zero. QuantizeBufferS8 applies
+/// exactly this to every element, scalar tail and vector body alike.
 inline int8_t QuantizeOneS8(float v, float inv_scale) {
   v *= inv_scale;
   // min-first clamp order absorbs NaN to 127 (std::min(127, NaN) == 127),

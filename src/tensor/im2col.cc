@@ -1,16 +1,11 @@
 #include "tensor/im2col.h"
 
-#include <algorithm>
-#include <cstring>
-
-#include "tensor/gemm_s8.h"
-
 namespace poe {
 
 namespace {
 
-// Shared unfold over the element type: f32 for training/inference, int8
-// for the quantized serving path (zero padding is exact in both domains).
+// Shared unfold over the element type, f32 or int8 (zero padding is exact
+// in both domains).
 template <typename T>
 void Im2ColT(const T* image, int64_t channels, int64_t height, int64_t width,
              int64_t kernel_h, int64_t kernel_w, int64_t pad, int64_t stride,
@@ -57,53 +52,6 @@ void Im2Col(const int8_t* image, int64_t channels, int64_t height,
             int64_t stride, int8_t* columns) {
   Im2ColT(image, channels, height, width, kernel_h, kernel_w, pad, stride,
           columns);
-}
-
-void Im2ColQuantize(const float* image, int64_t channels, int64_t height,
-                    int64_t width, int64_t kernel_h, int64_t kernel_w,
-                    int64_t pad, int64_t stride, float inv_scale,
-                    int8_t* columns) {
-  const int64_t out_h = ConvOutSize(height, kernel_h, pad, stride);
-  const int64_t out_w = ConvOutSize(width, kernel_w, pad, stride);
-  const int64_t out_hw = out_h * out_w;
-  int64_t row = 0;
-  for (int64_t c = 0; c < channels; ++c) {
-    const float* img_c = image + c * height * width;
-    for (int64_t kh = 0; kh < kernel_h; ++kh) {
-      for (int64_t kw = 0; kw < kernel_w; ++kw, ++row) {
-        int8_t* col_row = columns + row * out_hw;
-        for (int64_t oh = 0; oh < out_h; ++oh) {
-          const int64_t ih = oh * stride - pad + kh;
-          int8_t* dst = col_row + oh * out_w;
-          if (ih < 0 || ih >= height) {
-            std::memset(dst, 0, static_cast<size_t>(out_w));  // exact zero
-            continue;
-          }
-          const float* img_row = img_c + ih * width;
-          if (stride == 1) {
-            // Stride 1 (the bulk of WRN conv work): the gathered span is
-            // contiguous in the source row, so the quantization runs
-            // through the vectorized QuantizeBufferS8 — fused AND as fast
-            // as the separate whole-image pass, without its buffer.
-            const int64_t lo = std::max<int64_t>(0, pad - kw);
-            int64_t hi = std::min(out_w, width + pad - kw);
-            if (hi < lo) hi = lo;
-            std::memset(dst, 0, static_cast<size_t>(lo));
-            QuantizeBufferS8(img_row + lo - pad + kw, hi - lo, inv_scale,
-                             dst + lo);
-            std::memset(dst + hi, 0, static_cast<size_t>(out_w - hi));
-          } else {
-            for (int64_t ow = 0; ow < out_w; ++ow) {
-              const int64_t iw = ow * stride - pad + kw;
-              dst[ow] = (iw >= 0 && iw < width)
-                            ? QuantizeOneS8(img_row[iw], inv_scale)
-                            : static_cast<int8_t>(0);
-            }
-          }
-        }
-      }
-    }
-  }
 }
 
 void Col2Im(const float* columns, int64_t channels, int64_t height,

@@ -1,10 +1,11 @@
 // im2col / col2im transforms backing convolution as GEMM.
 //
-// Inference at stride 1 no longer materializes these matrices: the direct
-// path (tensor/conv_direct.h) feeds the GEMM's B pack straight from a
-// zero-padded image view, bitwise identical to im2col + GEMM. What stays
-// on the im2col route is everything direct does not cover — strided
-// forwards, and training (Col2Im backs the backward pass).
+// No forward pass materializes these matrices: every Conv2d forward, at
+// any stride and in training too, feeds the GEMM's B pack straight from a
+// zero-padded image view (tensor/conv_direct.h), bitwise identical to
+// im2col + GEMM. Conv2d::Backward still unfolds (Im2Col for the weight
+// gradient, Col2Im for the input gradient), and the tests use Im2Col +
+// GEMM as the reference lowering.
 #ifndef POE_TENSOR_IM2COL_H_
 #define POE_TENSOR_IM2COL_H_
 
@@ -19,27 +20,11 @@ void Im2Col(const float* image, int64_t channels, int64_t height,
             int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t pad,
             int64_t stride, float* columns);
 
-/// Int8 overload for the quantized serving path: unfolds an already
-/// symmetric-quantized image (padding writes quantized zero = 0 exactly).
+/// Int8 overload: unfolds an already symmetric-quantized image (padding
+/// writes quantized zero = 0 exactly); the reference for the int8 conv.
 void Im2Col(const int8_t* image, int64_t channels, int64_t height,
             int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t pad,
             int64_t stride, int8_t* columns);
-
-/// Fused quantize + unfold: gathers straight from the f32 image and
-/// quantizes each element as it lands in the column matrix (`inv_scale` =
-/// 1 / activation scale, QuantizeOneS8 rounding; stride-1 spans run the
-/// vectorized quantizer). Bitwise identical to QuantizeBufferS8 followed
-/// by the int8 Im2Col (quantization is elementwise and quantized zero
-/// padding is exactly 0). Measurement note (docs/PERF.md): the unfold
-/// reads each element up to k*k times, so fusing re-quantizes where the
-/// two-pass route re-copies bytes — ~2x slower at WRN 3x3 geometries —
-/// and Conv2d therefore serves k > 1 via the two-pass route (pointwise
-/// convs quantize directly into the column matrix, the fully fused
-/// degenerate case).
-void Im2ColQuantize(const float* image, int64_t channels, int64_t height,
-                    int64_t width, int64_t kernel_h, int64_t kernel_w,
-                    int64_t pad, int64_t stride, float inv_scale,
-                    int8_t* columns);
 
 /// Inverse accumulation of Im2Col: scatters the column matrix back into the
 /// image gradient (adds into `image_grad`, which the caller must zero).

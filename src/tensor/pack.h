@@ -86,16 +86,18 @@ inline void PackB(bool trans_b, const float* b, int64_t k, int64_t n,
 /// instead of a materialized buffer. Row p of the virtual matrix is the
 /// (c, kh, kw) = (p / kernel^2, (p % kernel^2) / kernel, p % kernel)
 /// shifted view of the padded image, matching Im2Col's row order; column
-/// j is output pixel (j / out_w, j % out_w). Because stride is 1, the
-/// columns of one output row are contiguous in the padded image, so each
-/// panel row is one or two memcpys. The panel bytes are identical to
+/// j is output pixel (oh, ow) = (j / out_w, j % out_w), read at padded
+/// offset oh*stride*pw + ow*stride. At stride 1 the columns of one output
+/// row are contiguous, so each panel row is one or two memcpys; larger
+/// strides copy element by element. The panel bytes are identical to
 /// PackB(!trans_b, im2col_matrix, ...) — including the zero fill past the
-/// edge — which is what makes the direct conv path bitwise identical to
-/// the im2col path.
+/// edge — which is what makes the direct conv bitwise identical to
+/// im2col + GEMM.
 inline void PackBConv(const ConvImageView& img, int64_t p0, int64_t kc,
                       int64_t j0, int64_t nc, int64_t nr, float* out) {
   const int64_t pw = img.padded_w();
   const int64_t out_w = img.out_w();
+  const int64_t stride = img.stride;
   const int64_t kk = img.kernel * img.kernel;
   for (int64_t jp = 0; jp < nc; jp += nr) {
     const int64_t cols = (nc - jp < nr) ? nc - jp : nr;
@@ -115,8 +117,13 @@ inline void PackBConv(const ConvImageView& img, int64_t p0, int64_t kc,
         const int64_t ow = j - oh * out_w;
         const int64_t len =
             (cols - done < out_w - ow) ? cols - done : out_w - ow;
-        std::memcpy(dst + done, base + oh * pw + ow,
-                    static_cast<size_t>(len) * sizeof(float));
+        const float* src = base + (oh * pw + ow) * stride;
+        if (stride == 1) {
+          std::memcpy(dst + done, src,
+                      static_cast<size_t>(len) * sizeof(float));
+        } else {
+          for (int64_t t = 0; t < len; ++t) dst[done + t] = src[t * stride];
+        }
         done += len;
         j += len;
       }

@@ -161,13 +161,13 @@ inline void PackBs8(bool trans_b, const int8_t* b, int64_t k, int64_t n,
 }
 
 /// Packs the full k x [j0, j0+nc) block of the *virtual* im2col matrix of
-/// `img` (see PackBConv in pack.h for the row/column mapping) into `out`
-/// and writes colsum exactly like PackBs8. This is the portable direct-conv
-/// B pack used by the scalar kernel and by edge panels of the SIMD conv
-/// packers; the panel bytes and colsums are identical to
-/// PackBs8(!trans_b, im2col_matrix, ...), so the int8 GEMM — whose
-/// accumulation is exact integer arithmetic — produces bitwise-identical
-/// output on the direct and im2col paths.
+/// `img` (see PackBConv in pack.h for the row/column mapping, strides
+/// included) into `out` and writes colsum exactly like PackBs8. This is
+/// the portable direct-conv B pack used by the scalar kernel and by edge
+/// panels of the SIMD conv packers; the panel bytes and colsums are
+/// identical to PackBs8(!trans_b, im2col_matrix, ...), so the int8 GEMM —
+/// whose accumulation is exact integer arithmetic — produces
+/// bitwise-identical output to im2col + GEMM.
 inline void PackBs8Conv(const ConvImageViewS8& img, int64_t j0, int64_t nc,
                         int64_t nr, int64_t kr, int8_t* out,
                         int32_t* colsum) {
@@ -176,6 +176,7 @@ inline void PackBs8Conv(const ConvImageViewS8& img, int64_t j0, int64_t nc,
   const int64_t group = nr * kr;  // bytes per packed k-group
   const int64_t pw = img.padded_w();
   const int64_t out_w = img.out_w();
+  const int64_t stride = img.stride;
   const int64_t kk = img.kernel * img.kernel;
   for (int64_t jp = 0; jp < nc; jp += nr) {
     const int64_t cols = (nc - jp < nr) ? nc - jp : nr;
@@ -203,10 +204,10 @@ inline void PackBs8Conv(const ConvImageViewS8& img, int64_t j0, int64_t nc,
           const int64_t ow = j - oh * out_w;
           const int64_t len =
               (cols - c < out_w - ow) ? cols - c : out_w - ow;
-          const int8_t* src = base + oh * pw + ow;
+          const int8_t* src = base + (oh * pw + ow) * stride;
           for (int64_t t = 0; t < len; ++t, ++c, ++j) {
-            dst[c * kr + q] = src[t];
-            sums[c] += src[t];
+            dst[c * kr + q] = src[t * stride];
+            sums[c] += src[t * stride];
           }
         }
         for (int64_t cpad = cols; cpad < nr; ++cpad) dst[cpad * kr + q] = 0;

@@ -186,8 +186,16 @@ TEST(GemmS8Test, PackedWeightsMatchUnpacked) {
     EXPECT_EQ(packed.rows(), m);
     EXPECT_EQ(packed.depth(), k);
     EXPECT_GE(packed.nbytes(), m * k);
+    // B as a 1x1 conv view (k channels of a 1 x n image), which the
+    // GEMM packs as the plain k x n matrix it is.
+    ConvImageViewS8 view;
+    view.padded = b.data();
+    view.channels = k;
+    view.height = 1;
+    view.width = n;
+    view.kernel = 1;
     std::vector<float> c1(static_cast<size_t>(m) * n, 0.0f), c2 = c1;
-    GemmS8PackedA(packed, n, b.data(), c1.data(), ep, /*parallel=*/true);
+    GemmS8ConvPackedA(packed, view, c1.data(), ep, /*parallel=*/true);
     GemmS8(false, false, m, n, k, a.data(), b.data(), c2.data(), ep, true);
     ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
                              c1.size() * sizeof(float)));

@@ -115,11 +115,25 @@ TEST(GemmTest, ThreadedMatchesSequentialBitwise) {
     FillUniform(&a, rng);
     FillUniform(&b, rng);
     Gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
-    GemmSeq(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-            c2.data());
+    GemmEx(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c2.data(),
+           GemmEpilogue{}, /*parallel=*/false);
     ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
                              c1.size() * sizeof(float)))
         << "m=" << m << " n=" << n << " k=" << k;
+    // A 1x1 conv view of B (k channels of a 1 x n image) is its own B
+    // matrix: the conv entry point must be the same product, bit for bit.
+    ConvImageView view;
+    view.padded = b.data();
+    view.channels = k;
+    view.height = 1;
+    view.width = n;
+    view.kernel = 1;
+    std::vector<float> c3(c1.size(), -1.0f);
+    GemmConvEx(m, a.data(), view, 1.0f, 0.0f, c3.data(), GemmEpilogue{},
+               /*parallel=*/false);
+    ASSERT_EQ(0, std::memcmp(c1.data(), c3.data(),
+                             c1.size() * sizeof(float)))
+        << "1x1 view m=" << m << " n=" << n << " k=" << k;
   }
 }
 

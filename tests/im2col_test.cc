@@ -5,7 +5,6 @@
 #include <cstring>
 #include <vector>
 
-#include "tensor/gemm_s8.h"
 #include "util/rng.h"
 
 namespace poe {
@@ -78,37 +77,6 @@ TEST(Im2ColTest, Col2ImIsAdjointOfIm2Col) {
     rhs += static_cast<double>(x[i]) * xt[i];
 
   EXPECT_NEAR(lhs, rhs, 1e-3);
-}
-
-// The fused quantizing unfold must equal quantize-then-unfold bit for bit
-// (elementwise quantization commutes with the gather; padding is exact
-// quantized zero), across padded, strided, and edge geometries.
-TEST(Im2ColTest, Im2ColQuantizeMatchesQuantizeThenUnfold) {
-  struct Geo {
-    int c, h, w, k, pad, stride;
-  };
-  const Geo geos[] = {{2, 5, 4, 3, 1, 2}, {1, 1, 1, 1, 0, 1},
-                      {3, 8, 8, 3, 1, 1}, {2, 6, 7, 5, 2, 3}};
-  Rng rng(23);
-  for (const Geo& g : geos) {
-    const int rows = g.c * g.k * g.k;
-    const int cols_n = static_cast<int>(ConvOutSize(g.h, g.k, g.pad, g.stride) *
-                                        ConvOutSize(g.w, g.k, g.pad, g.stride));
-    std::vector<float> x(g.c * g.h * g.w);
-    for (auto& v : x) v = rng.Uniform(-2.0f, 2.0f);
-    const float inv_scale = 1.0f / SymmetricScaleS8(x.data(), x.size());
-
-    std::vector<int8_t> q(x.size());
-    QuantizeBufferS8(x.data(), x.size(), inv_scale, q.data());
-    std::vector<int8_t> expected(rows * cols_n);
-    Im2Col(q.data(), g.c, g.h, g.w, g.k, g.k, g.pad, g.stride,
-           expected.data());
-
-    std::vector<int8_t> fused(rows * cols_n, 99);
-    Im2ColQuantize(x.data(), g.c, g.h, g.w, g.k, g.k, g.pad, g.stride,
-                   inv_scale, fused.data());
-    ASSERT_EQ(0, std::memcmp(expected.data(), fused.data(), fused.size()));
-  }
 }
 
 }  // namespace

@@ -49,12 +49,19 @@ TEST(GemmPackedBitwiseTest, PackedAMatchesOnTheFly) {
     EXPECT_EQ(packed.rows(), s.m);
     EXPECT_EQ(packed.depth(), s.k);
     EXPECT_GT(packed.nbytes(), 0);
+    // B as a 1x1 conv view (k channels of a 1 x n image), which the
+    // GEMM packs as the plain k x n matrix it is.
+    ConvImageView view;
+    view.padded = b.data();
+    view.channels = s.k;
+    view.height = 1;
+    view.width = s.n;
+    view.kernel = 1;
     for (bool parallel : {false, true}) {
       std::vector<float> c1(s.m * s.n, 0.5f), c2(s.m * s.n, 0.5f);
       GemmEx(false, false, s.m, s.n, s.k, 1.0f, a.data(), b.data(), 0.25f,
              c1.data(), ep, parallel);
-      GemmPackedA(packed, s.n, b.data(), 1.0f, 0.25f, c2.data(), ep,
-                  parallel);
+      GemmConvPackedA(packed, view, 1.0f, 0.25f, c2.data(), ep, parallel);
       ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
                                c1.size() * sizeof(float)))
           << "m=" << s.m << " n=" << s.n << " k=" << s.k
