@@ -102,6 +102,17 @@ inline void PackBConv(const ConvImageView& img, int64_t p0, int64_t kc,
   for (int64_t jp = 0; jp < nc; jp += nr) {
     const int64_t cols = (nc - jp < nr) ? nc - jp : nr;
     float* panel = out + (jp / nr) * kc * nr;
+    // Strided gathers: a column's offset inside a shifted row view does
+    // not depend on the k row, so it is computed once per panel (nr is at
+    // most 64, the largest kernel NR).
+    int64_t off[64];
+    if (stride != 1) {
+      for (int64_t col = 0; col < cols; ++col) {
+        const int64_t j = j0 + jp + col;
+        const int64_t oh = j / out_w;
+        off[col] = (oh * pw + j - oh * out_w) * stride;
+      }
+    }
     for (int64_t p = 0; p < kc; ++p) {
       const int64_t pk = p0 + p;
       const int64_t c = pk / kk;
@@ -110,22 +121,21 @@ inline void PackBConv(const ConvImageView& img, int64_t p0, int64_t kc,
       const int64_t kw = rem - kh * img.kernel;
       const float* base = img.padded + (c * img.padded_h() + kh) * pw + kw;
       float* dst = panel + p * nr;
-      int64_t j = j0 + jp;
-      int64_t done = 0;
-      while (done < cols) {
-        const int64_t oh = j / out_w;
-        const int64_t ow = j - oh * out_w;
-        const int64_t len =
-            (cols - done < out_w - ow) ? cols - done : out_w - ow;
-        const float* src = base + (oh * pw + ow) * stride;
-        if (stride == 1) {
-          std::memcpy(dst + done, src,
+      if (stride != 1) {
+        for (int64_t col = 0; col < cols; ++col) dst[col] = base[off[col]];
+      } else {
+        int64_t j = j0 + jp;
+        int64_t done = 0;
+        while (done < cols) {
+          const int64_t oh = j / out_w;
+          const int64_t ow = j - oh * out_w;
+          const int64_t len =
+              (cols - done < out_w - ow) ? cols - done : out_w - ow;
+          std::memcpy(dst + done, base + oh * pw + ow,
                       static_cast<size_t>(len) * sizeof(float));
-        } else {
-          for (int64_t t = 0; t < len; ++t) dst[done + t] = src[t * stride];
+          done += len;
+          j += len;
         }
-        done += len;
-        j += len;
       }
       for (int64_t cpad = cols; cpad < nr; ++cpad) dst[cpad] = 0.0f;
     }
