@@ -7,7 +7,6 @@
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "tensor/arena.h"
-#include "tensor/conv_direct.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/im2col.h"
@@ -28,19 +27,6 @@ void WallClock(benchmark::internal::Benchmark* b) {
   b->UseRealTime()->Repetitions(kRepetitions)->ReportAggregatesOnly(true);
 }
 
-// A row-major k x n matrix as a 1x1 conv view (k channels of a 1 x n
-// image): the GEMM packs it as the plain B matrix it is.
-template <typename T>
-ConvImageViewT<T> MatrixView(const T* b, int64_t k, int64_t n) {
-  ConvImageViewT<T> view;
-  view.padded = b;
-  view.channels = k;
-  view.height = 1;
-  view.width = n;
-  view.kernel = 1;
-  return view;
-}
-
 void BM_Gemm(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(1);
@@ -48,7 +34,8 @@ void BM_Gemm(benchmark::State& state) {
   Tensor b = Tensor::Randn({n, n}, rng);
   Tensor c = Tensor::Zeros({n, n});
   for (auto _ : state) {
-    Gemm(false, false, n, n, n, 1.0f, a.data(), b.data(), 0.0f, c.data());
+    Gemm(GemmA::Raw(n, n, a.data()), GemmB::Raw(n, n, b.data()), c.data(),
+         GemmEpilogue{}, /*parallel=*/true);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -79,8 +66,8 @@ void BM_GemmS8(benchmark::State& state) {
   ep.row_bias = bias.data();
   ep.relu = true;
   for (auto _ : state) {
-    GemmS8(false, false, n, n, n, a.data(), b.data(), c.data(), ep,
-           /*parallel=*/true);
+    GemmS8(GemmS8A::Raw(n, n, a.data()), GemmS8B::Raw(n, n, b.data()),
+           c.data(), ep, /*parallel=*/true);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -91,7 +78,7 @@ BENCHMARK(BM_GemmS8)
     ->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 // Same product with the weights pre-packed once (the conv serving path:
-// packing cost amortized across every query), B given as a 1x1 view.
+// packing cost amortized across every query).
 void BM_GemmS8Packed(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(2);
@@ -106,8 +93,8 @@ void BM_GemmS8Packed(benchmark::State& state) {
   ep.scale = 0.02f;
   ep.row_scale = scales.data();
   for (auto _ : state) {
-    GemmS8ConvPackedA(packed, MatrixView(b.data(), n, n), c.data(), ep,
-                      /*parallel=*/true);
+    GemmS8(GemmS8A::Packed(packed), GemmS8B::Raw(n, n, b.data()), c.data(),
+           ep, /*parallel=*/true);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -200,13 +187,16 @@ BENCHMARK(BM_ConvWrnInt8)->Apply(WallClock)
 // every stride, kept as the baseline the direct rows are gated against
 // (tools/bench_gate.py, direct_vs_im2col): `run_range(begin, end,
 // gemm_parallel)` unfolds and multiplies items [begin, end), and the items
-// spread over the pool the way Conv2d's schedule spreads them.
+// spread over the pool the way Conv2d's schedule spreads them, with the
+// GEMM task count of the dtype (`parallel_tiles`).
 template <typename RunRange>
 void RunIm2ColSchedule(int64_t batch, int64_t out_c, int64_t ohw,
-                       int64_t ckk, const RunRange& run_range) {
+                       int64_t ckk,
+                       int64_t (*parallel_tiles)(int64_t, int64_t, int64_t),
+                       const RunRange& run_range) {
   const bool fan_out = ShouldFanOut(batch * out_c * ohw * ckk);
   const bool gemm_parallel = fan_out && batch < NumThreads() &&
-                             GemmParallelTiles(out_c, ohw, ckk) > batch;
+                             parallel_tiles(out_c, ohw, ckk) > batch;
   if (fan_out && !gemm_parallel) {
     ParallelFor(
         batch, [&](int64_t b0, int64_t b1) { run_range(b0, b1, false); },
@@ -248,7 +238,7 @@ void BM_ConvWrnInt8Calibrated(benchmark::State& state) {
   const int64_t chw = in_c * hw * hw;
   for (auto _ : state) {
     Tensor y({batch, out_c, out_hw, out_hw});
-    RunIm2ColSchedule(batch, out_c, ohw, ckk,
+    RunIm2ColSchedule(batch, out_c, ohw, ckk, GemmS8ParallelTiles,
                       [&](int64_t begin, int64_t end, bool gemm_parallel) {
       ScratchScope scope;
       int8_t* q_img = AllocS8(scope, chw);
@@ -257,8 +247,8 @@ void BM_ConvWrnInt8Calibrated(benchmark::State& state) {
         QuantizeBufferS8(x.data() + b * chw, chw, 1.0f / weights.act_scale,
                          q_img);
         Im2Col(q_img, in_c, hw, hw, kernel, kernel, pad, stride, cols);
-        GemmS8ConvPackedA(packed, MatrixView(cols, ckk, ohw),
-                          y.data() + b * out_c * ohw, ep, gemm_parallel);
+        GemmS8(GemmS8A::Packed(packed), GemmS8B::Raw(ckk, ohw, cols),
+               y.data() + b * out_c * ohw, ep, gemm_parallel);
       }
     });
     benchmark::DoNotOptimize(y.data());
@@ -293,20 +283,19 @@ void BM_ConvWrnPrepacked(benchmark::State& state) {
   const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
   const int64_t ohw = out_hw * out_hw;
   const int64_t ckk = in_c * kernel * kernel;
-  const PackedAWeights packed = PackedAWeights::Pack(
-      /*trans_a=*/false, out_c, ckk, conv.weight().value.data());
+  const PackedAWeights packed =
+      PackedAWeights::Pack(out_c, ckk, conv.weight().value.data());
   for (auto _ : state) {
     Tensor y({batch, out_c, out_hw, out_hw});
-    RunIm2ColSchedule(batch, out_c, ohw, ckk,
+    RunIm2ColSchedule(batch, out_c, ohw, ckk, GemmParallelTiles,
                       [&](int64_t begin, int64_t end, bool gemm_parallel) {
       ScratchScope scope;
       float* cols = scope.Alloc(ckk * ohw);
       for (int64_t b = begin; b < end; ++b) {
         Im2Col(x.data() + b * in_c * hw * hw, in_c, hw, hw, kernel, kernel,
                pad, stride, cols);
-        GemmConvPackedA(packed, MatrixView(cols, ckk, ohw), 1.0f,
-                        0.0f, y.data() + b * out_c * ohw, GemmEpilogue{},
-                        gemm_parallel);
+        Gemm(GemmA::Packed(packed), GemmB::Raw(ckk, ohw, cols),
+             y.data() + b * out_c * ohw, GemmEpilogue{}, gemm_parallel);
       }
     });
     benchmark::DoNotOptimize(y.data());

@@ -20,14 +20,17 @@ enum class Schedule { kInline, kBatchParallel, kGemmParallel };
 // Inference forwards consult the one fan-out decision: below the threshold
 // (the realtime batch-1 query path) everything runs inline. Training keeps
 // its batch fan-out at every size. When the pool is used, only one level
-// parallelizes: the GEMM's tile loop when it offers more parallelism than
-// the batch does and the batch can't fill the workers by itself.
+// parallelizes: the GEMM's micro-panel loop when it offers more parallelism
+// than the batch does and the batch can't fill the workers by itself.
+// `parallel_tiles` is the GEMM's task count for its dtype
+// (GemmParallelTiles or GemmS8ParallelTiles).
 Schedule PickSchedule(int64_t batch, int64_t out_c, int64_t ohw,
-                      int64_t ckk, bool training) {
+                      int64_t ckk, bool training,
+                      int64_t (*parallel_tiles)(int64_t, int64_t, int64_t)) {
   if (!training && !ShouldFanOut(batch * out_c * ohw * ckk)) {
     return Schedule::kInline;
   }
-  if (batch < NumThreads() && GemmParallelTiles(out_c, ohw, ckk) > batch) {
+  if (batch < NumThreads() && parallel_tiles(out_c, ohw, ckk) > batch) {
     return Schedule::kGemmParallel;
   }
   return Schedule::kBatchParallel;
@@ -96,7 +99,6 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   const int64_t ohw = out_h * out_w;
 
   Tensor output({batch, out_channels_, out_h, out_w});
-  const float* wp = weight_.value.data();
   const float* in = input.data();
   float* out = output.data();
 
@@ -104,14 +106,17 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   ep.row_bias = has_bias_ ? bias_.value.data() : nullptr;
   ep.relu = fuse_relu;
 
-  // Pack-once fast path: the persistent op(A) weight panels are bitwise
-  // identical to the per-call PackA output, so the product is too.
-  const bool packed = !training && f32_packed_.load(std::memory_order_acquire);
+  // Pack-once fast path: the persistent weight panels are bitwise
+  // identical to the per-call A pack, so the product is too.
   POE_CHECK(!training || !f32_packed_.load(std::memory_order_relaxed))
       << "prepacked Conv2d is inference-only (packed panels would go stale)";
+  const GemmA weights =
+      !training && f32_packed_.load(std::memory_order_acquire)
+          ? GemmA::Packed(packed_w_)
+          : GemmA::Raw(out_channels_, ckk, weight_.value.data());
 
-  const Schedule schedule =
-      PickSchedule(batch, out_channels_, ohw, ckk, training);
+  const Schedule schedule = PickSchedule(batch, out_channels_, ohw, ckk,
+                                         training, GemmParallelTiles);
   const bool gemm_parallel = schedule == Schedule::kGemmParallel;
 
   // The GEMM packs its B panels straight from a view of the image (see
@@ -138,14 +143,8 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
       } else {
         img.padded = in_b;
       }
-      float* out_b = out + b * out_channels_ * ohw;
-      if (packed) {
-        GemmConvPackedA(packed_w_, img, 1.0f, 0.0f, out_b, ep,
-                        gemm_parallel);
-      } else {
-        GemmConvEx(out_channels_, wp, img, 1.0f, 0.0f, out_b, ep,
-                   gemm_parallel);
-      }
+      Gemm(weights, GemmB::Conv(img), out + b * out_channels_ * ohw, ep,
+           gemm_parallel);
     }
   };
   RunSchedule(schedule, batch, run_range);
@@ -194,7 +193,8 @@ Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
   ep.relu = fuse_relu;
 
   const Schedule schedule = PickSchedule(batch, out_channels_, ohw, ckk,
-                                         /*training=*/false);
+                                         /*training=*/false,
+                                         GemmS8ParallelTiles);
   const bool gemm_parallel = schedule == Schedule::kGemmParallel;
 
   // pad == 0 quantizes the whole image straight into the view's buffer;
@@ -222,7 +222,8 @@ Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
       } else {
         QuantizeBufferS8(in + b * chw, chw, inv_scale, q_pad);
       }
-      GemmS8ConvPackedA(qweight_, img, out_b, ep, gemm_parallel);
+      GemmS8(GemmS8A::Packed(qweight_), GemmS8B::Conv(img), out_b, ep,
+             gemm_parallel);
     }
   };
   RunSchedule(schedule, batch, run_range);
@@ -272,7 +273,7 @@ void Conv2d::Prepack(ServingPrecision precision) {
       << "Prepack(kInt8) requires PrepareInt8Serving first";
   if (int8_serving_) return;
   if (f32_packed_.load(std::memory_order_relaxed)) return;
-  packed_w_ = PackedAWeights::Pack(/*trans_a=*/false, out_channels_,
+  packed_w_ = PackedAWeights::Pack(out_channels_,
                                    in_channels_ * kernel_ * kernel_,
                                    weight_.value.data());
   f32_packed_.store(true, std::memory_order_release);
@@ -361,6 +362,8 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   const int64_t bsize = has_bias_ ? out_channels_ : 0;
   ScratchScope partial_scope;
   float* partials = partial_scope.Alloc(chunks * (wsize + bsize));
+  GemmEpilogue accumulate;
+  accumulate.accumulate = true;
   ParallelFor(
       chunks,
       [&](int64_t c_begin, int64_t c_end) {
@@ -378,11 +381,13 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
             Im2Col(in + b * in_channels_ * h * w, in_channels_, h, w,
                    kernel_, kernel_, pad_, stride_, cols);
             // dW += dY_b (out_c x ohw) * cols_b^T (ohw x ckk).
-            GemmEx(false, true, out_channels_, ckk, ohw, 1.0f, gout_b, cols,
-                   1.0f, dw_local, GemmEpilogue{}, /*parallel=*/false);
+            Gemm(GemmA::Raw(out_channels_, ohw, gout_b),
+                 GemmB::Raw(ohw, ckk, cols, /*trans=*/true), dw_local,
+                 accumulate, /*parallel=*/false);
             // dcols = W^T (ckk x out_c) * dY_b (out_c x ohw).
-            GemmEx(true, false, ckk, ohw, out_channels_, 1.0f, wp, gout_b,
-                   0.0f, dcols, GemmEpilogue{}, /*parallel=*/false);
+            Gemm(GemmA::Raw(ckk, out_channels_, wp, /*trans=*/true),
+                 GemmB::Raw(out_channels_, ohw, gout_b), dcols,
+                 GemmEpilogue{}, /*parallel=*/false);
             Col2Im(dcols, in_channels_, h, w, kernel_, kernel_, pad_,
                    stride_, gin + b * in_channels_ * h * w);
             for (int64_t oc = 0; oc < bsize; ++oc) {

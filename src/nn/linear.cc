@@ -47,16 +47,16 @@ Tensor Linear::ForwardImpl(const Tensor& input, bool training,
   ep.col_bias = has_bias_ ? bias_.value.data() : nullptr;
   ep.relu = fuse_relu;
   // y = x (batch x in) * W^T (in x out), bias/ReLU fused into the store.
-  if (!training && f32_packed_.load(std::memory_order_acquire)) {
-    // Pack-once fast path: bitwise identical to the per-call-pack GEMM.
-    GemmPackedB(batch, input.data(), /*trans_a=*/false, packed_w_, 1.0f,
-                0.0f, output.data(), ep, /*parallel=*/true);
-    return output;
-  }
+  // Pack-once fast path: bitwise identical to the per-call-pack GEMM.
   POE_CHECK(!training || !f32_packed_.load(std::memory_order_relaxed))
       << "prepacked Linear is inference-only (packed panels would go stale)";
-  GemmEx(false, true, batch, out_features_, in_features_, 1.0f, input.data(),
-         weight_.value.data(), 0.0f, output.data(), ep, /*parallel=*/true);
+  const GemmB weights =
+      !training && f32_packed_.load(std::memory_order_acquire)
+          ? GemmB::Packed(packed_w_)
+          : GemmB::Raw(in_features_, out_features_, weight_.value.data(),
+                       /*trans=*/true);
+  Gemm(GemmA::Raw(batch, in_features_, input.data()), weights, output.data(),
+       ep, /*parallel=*/true);
   if (training) cached_input_ = input;
   return output;
 }
@@ -86,9 +86,8 @@ Tensor Linear::ForwardInt8(const Tensor& input, bool fuse_relu) {
   ep.col_scale = wscales_.data();
   ep.col_bias = has_bias_ ? bias_.value.data() : nullptr;
   ep.relu = fuse_relu;
-  POE_CHECK(!packed_qw_.empty()) << "int8 Linear without packed panels";
-  GemmS8PackedB(/*trans_a=*/false, batch, q_in, packed_qw_, output.data(),
-                ep, /*parallel=*/true);
+  GemmS8(GemmS8A::Raw(batch, in_features_, q_in),
+         GemmS8B::Packed(packed_qw_), output.data(), ep, /*parallel=*/true);
   return output;
 }
 
@@ -210,8 +209,11 @@ Tensor Linear::Backward(const Tensor& grad_output) {
   POE_CHECK_EQ(grad_output.dim(1), out_features_);
 
   // dW += dY^T (out x batch) * X (batch x in).
-  Gemm(true, false, out_features_, in_features_, batch, 1.0f,
-       grad_output.data(), cached_input_.data(), 1.0f, weight_.grad.data());
+  GemmEpilogue accumulate;
+  accumulate.accumulate = true;
+  Gemm(GemmA::Raw(out_features_, batch, grad_output.data(), /*trans=*/true),
+       GemmB::Raw(batch, in_features_, cached_input_.data()),
+       weight_.grad.data(), accumulate, /*parallel=*/true);
   if (has_bias_) {
     float* db = bias_.grad.data();
     const float* g = grad_output.data();
@@ -221,8 +223,9 @@ Tensor Linear::Backward(const Tensor& grad_output) {
   }
   // dX = dY (batch x out) * W (out x in).
   Tensor grad_input({batch, in_features_});
-  Gemm(false, false, batch, in_features_, out_features_, 1.0f,
-       grad_output.data(), weight_.value.data(), 0.0f, grad_input.data());
+  Gemm(GemmA::Raw(batch, out_features_, grad_output.data()),
+       GemmB::Raw(out_features_, in_features_, weight_.value.data()),
+       grad_input.data(), GemmEpilogue{}, /*parallel=*/true);
   return grad_input;
 }
 

@@ -1,7 +1,8 @@
 // Im2col-free convolution: views of a zero-padded input image that the
-// blocked GEMM packs its B panels from directly. Every Conv2d forward
-// (f32 and int8, training and inference, any stride and pad) runs through
-// one of these views; im2col survives only in Conv2d::Backward.
+// blocked GEMM packs its B panels from directly. GemmB::Conv and
+// GemmS8B::Conv make a view a GEMM operand; every Conv2d forward (f32 and
+// int8, training and inference, any stride and pad) multiplies one, and
+// im2col survives only in Conv2d::Backward.
 //
 // The view replaces the materialized im2col matrix (which duplicates
 // every input element kernel*kernel times) with a single zero-padded copy
@@ -12,7 +13,7 @@
 // inside one output row is contiguous in the padded image, so the gather
 // is spans/memcpys (f32) or straight SIMD loads (int8); larger strides
 // gather element by element. A 1x1, pad-0, stride-1 view is its own B
-// matrix, and the GEMM packs it as one. The packed panel bytes are
+// matrix, and the operand describes it as one. The packed panel bytes are
 // identical to what PackB/PackBs8 would produce from the real im2col
 // matrix, so the GEMM arithmetic — and therefore the conv output — is
 // bitwise identical to im2col + GEMM on every kernel tier, by

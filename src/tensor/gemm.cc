@@ -30,8 +30,8 @@ constexpr int64_t kMaxMR = 16;
 constexpr int64_t kMaxNR = 64;
 
 // A micro-kernel computes acc[r*nr + c] = sum_p a[p*mr + r] * b[p*nr + c]
-// over packed panels (acc is overwritten, never read). Scaling by alpha,
-// the beta-accumulate into C, and the epilogue all happen in StoreTile.
+// over packed panels (acc is overwritten, never read). The accumulate into
+// C and the epilogue happen in StoreTile.
 using MicroKernelFn = void (*)(int64_t kc, const float* a, const float* b,
                                float* acc);
 
@@ -136,26 +136,10 @@ const Kernel& PickKernel() {
   return kernel;
 }
 
-// Writes one micro-tile of the product into C: C = blk_beta*C + alpha*acc
-// over the valid rows x cols region, plus the fused epilogue when this is
-// the final k-block.
-void StoreTile(const float* acc, int64_t nr, int64_t rows, int64_t cols,
-               float alpha, float blk_beta, bool apply_epilogue,
-               const GemmEpilogue& ep, int64_t row0, int64_t col0, float* c,
-               int64_t ldc) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* arow = acc + r * nr;
-    float* crow = c + (row0 + r) * ldc + col0;
-    if (blk_beta == 0.0f) {
-      for (int64_t j = 0; j < cols; ++j) crow[j] = alpha * arow[j];
-    } else if (blk_beta == 1.0f) {
-      for (int64_t j = 0; j < cols; ++j) crow[j] += alpha * arow[j];
-    } else {
-      for (int64_t j = 0; j < cols; ++j)
-        crow[j] = blk_beta * crow[j] + alpha * arow[j];
-    }
-  }
-  if (!apply_epilogue) return;
+// Applies the epilogue's bias and ReLU to the rows x cols region of C at
+// (row0, col0).
+void FinishTile(int64_t rows, int64_t cols, const GemmEpilogue& ep,
+                int64_t row0, int64_t col0, float* c, int64_t ldc) {
   for (int64_t r = 0; r < rows; ++r) {
     float* crow = c + (row0 + r) * ldc + col0;
     const float rb = ep.row_bias ? ep.row_bias[row0 + r] : 0.0f;
@@ -171,193 +155,150 @@ void StoreTile(const float* acc, int64_t nr, int64_t rows, int64_t cols,
   }
 }
 
-// Offsets into the persistent packed buffers (see PackedAWeights /
-// PackedBWeights::Pack below for the layouts). Both layouts place the
-// panels of each (tile, k-block) region exactly as the per-call pack
-// writes them, so the micro-kernel loops are oblivious to the source.
-inline const float* PrepackedABlock(const float* packed, int64_t m,
-                                    int64_t mr, int64_t i0, int64_t pc,
-                                    int64_t kc) {
-  const int64_t m_pad = (m + mr - 1) / mr * mr;
-  return packed + m_pad * pc + (i0 / mr) * kc * mr;
-}
-
-inline const float* PrepackedBBlock(const float* packed, int64_t k,
-                                    int64_t n, int64_t nr, int64_t j0,
-                                    int64_t pc, int64_t kc) {
-  const int64_t nc = std::min(kNC, n - j0);
-  const int64_t nc_pad = (nc + nr - 1) / nr * nr;
-  // Column tiles before j0 are all full (kNC wide, kNC a multiple of nr),
-  // so they occupy exactly k * j0 floats.
-  return packed + k * j0 + nc_pad * pc;
-}
-
-// Computes the C macro-tile [i0, i0+mc) x [j0, j0+nc): packs A/B blocks
-// into this thread's scratch arena (or indexes the persistent prepacked
-// panels when `prepacked_a` / `prepacked_b` are given) and runs the
-// micro-kernel over the register-tile grid. One task owns each C tile and
-// accumulates k-blocks in a fixed order, so results are identical under
-// any thread schedule — and, because prepacked panels are byte-identical
-// to per-call packs, across the plain and prepacked entry points.
-void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                 float alpha, const float* a, const float* b, float beta,
-                 float* c, const GemmEpilogue& ep, const Kernel& kernel,
-                 const float* prepacked_a, const float* prepacked_b,
-                 const ConvImageView* conv_img, int64_t i0, int64_t mc,
-                 int64_t j0, int64_t nc) {
-  const int64_t mr = kernel.mr;
-  const int64_t nr = kernel.nr;
-  const int64_t mc_pad = (mc + mr - 1) / mr * mr;
-  const int64_t nc_pad = (nc + nr - 1) / nr * nr;
-  const int64_t kc_max = std::min(k, kKC);
-
-  ScratchScope scope;
-  float* a_buf = prepacked_a ? nullptr : scope.Alloc(mc_pad * kc_max);
-  float* b_buf = prepacked_b ? nullptr : scope.Alloc(kc_max * nc_pad);
-  float acc[kMaxMR * kMaxNR];
-
-  for (int64_t pc = 0; pc < k; pc += kKC) {
-    const int64_t kc = std::min(kKC, k - pc);
-    const float* a_pack;
-    if (prepacked_a != nullptr) {
-      a_pack = PrepackedABlock(prepacked_a, m, mr, i0, pc, kc);
+// Writes one micro-tile of the product into C: C = acc, or C += acc when
+// `add` (a later k-block, or an accumulating product), over the valid rows
+// x cols region, then FinishTile when `finish` (the final k-block of a
+// product with a bias or ReLU).
+void StoreTile(const float* acc, int64_t nr, int64_t rows, int64_t cols,
+               bool add, bool finish, const GemmEpilogue& ep, int64_t row0,
+               int64_t col0, float* c, int64_t ldc) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* arow = acc + r * nr;
+    float* crow = c + (row0 + r) * ldc + col0;
+    if (add) {
+      for (int64_t j = 0; j < cols; ++j) crow[j] += arow[j];
     } else {
-      PackA(trans_a, a, m, k, i0, mc, pc, kc, mr, a_buf);
-      a_pack = a_buf;
-    }
-    const float* b_pack;
-    if (prepacked_b != nullptr) {
-      b_pack = PrepackedBBlock(prepacked_b, k, n, nr, j0, pc, kc);
-    } else if (conv_img != nullptr) {
-      PackBConv(*conv_img, pc, kc, j0, nc, nr, b_buf);
-      b_pack = b_buf;
-    } else {
-      PackB(trans_b, b, k, n, pc, kc, j0, nc, nr, b_buf);
-      b_pack = b_buf;
-    }
-    const float blk_beta = (pc == 0) ? beta : 1.0f;
-    const bool last = pc + kc >= k;
-    for (int64_t jp = 0; jp < nc; jp += nr) {
-      const float* bp = b_pack + (jp / nr) * kc * nr;
-      const int64_t cols = std::min(nr, nc - jp);
-      for (int64_t ip = 0; ip < mc; ip += mr) {
-        kernel.fn(kc, a_pack + (ip / mr) * kc * mr, bp, acc);
-        StoreTile(acc, nr, std::min(mr, mc - ip), cols, alpha, blk_beta,
-                  last && !ep.empty(), ep, i0 + ip, j0 + jp, c, n);
-      }
+      for (int64_t j = 0; j < cols; ++j) crow[j] = arow[j];
     }
   }
+  if (finish) FinishTile(rows, cols, ep, row0, col0, c, ldc);
 }
 
-// Degenerate k == 0 product: C = beta*C plus the epilogue.
-void ScaleOnly(int64_t m, int64_t n, float beta, float* c,
-               const GemmEpilogue& ep) {
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    if (beta == 0.0f) {
-      std::fill(crow, crow + n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (int64_t j = 0; j < n; ++j) crow[j] *= beta;
-    }
-    const float rb = ep.row_bias ? ep.row_bias[i] : 0.0f;
-    if (ep.row_bias || ep.col_bias) {
-      for (int64_t j = 0; j < n; ++j)
-        crow[j] += rb + (ep.col_bias ? ep.col_bias[j] : 0.0f);
-    }
-    if (ep.relu) {
-      for (int64_t j = 0; j < n; ++j) crow[j] = std::max(0.0f, crow[j]);
-    }
+// The packed op(A) panels of rows [i0, i0+mc) x k-block [pc, pc+kc): the
+// matching region of prepacked panels (see PackedAWeights::Pack for the
+// layout), or `buf` after packing the raw matrix into it.
+const float* PackABlock(const GemmA& a, int64_t i0, int64_t mc, int64_t pc,
+                        int64_t kc, int64_t mr, float* buf) {
+  if (a.panels != nullptr) {
+    const int64_t m_pad = (a.m + mr - 1) / mr * mr;
+    return a.panels + m_pad * pc + (i0 / mr) * kc * mr;
   }
+  PackA(a.trans, a.data, a.m, a.k, i0, mc, pc, kc, mr, buf);
+  return buf;
 }
 
-void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                float alpha, const float* a, const float* b, float beta,
-                float* c, const GemmEpilogue& ep, bool parallel,
-                const float* prepacked_a, const float* prepacked_b,
-                const ConvImageView* conv_img) {
+// The packed op(B) panels of k-block [pc, pc+kc) x columns [j0, j0+nc):
+// the matching region of prepacked panels, or `buf` after packing the raw
+// matrix or gathering the conv view's virtual im2col block into it.
+const float* PackBBlock(const GemmB& b, int64_t pc, int64_t kc, int64_t j0,
+                        int64_t nc, int64_t nr, float* buf) {
+  if (b.panels != nullptr) {
+    // Column tiles before j0 are all full (kNC wide, kNC a multiple of
+    // nr), so they occupy exactly k * j0 floats.
+    const int64_t nc_pad = (nc + nr - 1) / nr * nr;
+    return b.panels + b.k * j0 + nc_pad * pc;
+  }
+  if (b.conv.padded != nullptr) {
+    PackBConv(b.conv, pc, kc, j0, nc, nr, buf);
+  } else {
+    PackB(b.trans, b.data, b.k, b.n, pc, kc, j0, nc, nr, buf);
+  }
+  return buf;
+}
+
+}  // namespace
+
+GemmA GemmA::Raw(int64_t m, int64_t k, const float* a, bool trans) {
+  GemmA d;
+  d.m = m;
+  d.k = k;
+  d.data = a;
+  d.trans = trans;
+  return d;
+}
+
+GemmA GemmA::Packed(const PackedAWeights& a) {
+  POE_CHECK(!a.empty()) << "Gemm on unpacked A weights";
+  GemmA d;
+  d.m = a.m_;
+  d.k = a.k_;
+  d.panels = a.data_.data();
+  return d;
+}
+
+GemmB GemmB::Raw(int64_t k, int64_t n, const float* b, bool trans) {
+  GemmB d;
+  d.k = k;
+  d.n = n;
+  d.data = b;
+  d.trans = trans;
+  return d;
+}
+
+GemmB GemmB::Packed(const PackedBWeights& b) {
+  POE_CHECK(!b.empty()) << "Gemm on unpacked B weights";
+  GemmB d;
+  d.k = b.k_;
+  d.n = b.n_;
+  d.panels = b.data_.data();
+  return d;
+}
+
+GemmB GemmB::Conv(const ConvImageView& img) {
+  if (img.is_matrix()) return Raw(img.depth(), img.cols(), img.padded);
+  GemmB d;
+  d.k = img.depth();
+  d.n = img.cols();
+  d.conv = img;
+  return d;
+}
+
+// The one schedule: op(B) is packed once per (column stripe, k-block) and
+// reused by every kMC row tile, whose op(A) block is packed next. When the
+// product fans out, the NR-column micro-panels of each (k-block, row tile)
+// region spread over the pool (sub-tile parallelism); each C micro-tile is
+// still written by exactly one task, and k-blocks accumulate in ascending
+// order behind the ParallelFor barrier, so the result is bitwise identical
+// to the sequential run. No per-thread C scratch is needed.
+void Gemm(const GemmA& a, const GemmB& b, float* c, const GemmEpilogue& ep,
+          bool parallel) {
+  POE_CHECK_EQ(a.k, b.k) << "Gemm operand depths differ";
+  const int64_t m = a.m;
+  const int64_t n = b.n;
+  const int64_t k = a.k;
   POE_CHECK_GE(m, 0);
   POE_CHECK_GE(n, 0);
   POE_CHECK_GE(k, 0);
   if (m == 0 || n == 0) return;
-  // A 1x1, pad-0, stride-1 view is its own B matrix: pack it as one.
-  if (conv_img != nullptr && conv_img->is_matrix()) conv_img = nullptr;
-  if (k == 0 || alpha == 0.0f) {
-    ScaleOnly(m, n, beta, c, ep);
+  if (k == 0) {  // empty product: C = 0, or C kept when accumulating
+    if (!ep.accumulate) std::fill(c, c + m * n, 0.0f);
+    FinishTile(m, n, ep, 0, 0, c, n);
     return;
   }
 
   const Kernel& kernel = PickKernel();
-  const int64_t row_tiles = (m + kMC - 1) / kMC;
-  const int64_t col_tiles = (n + kNC - 1) / kNC;
-  // Products below the fan-out threshold run inline (ShouldFanOut). Fanned
-  // out, macro-tile parallelism applies only when there are enough tiles
-  // to feed the pool; smaller products use sub-tile parallelism inside the
-  // hoisted path below (run inline, the per-tile path would only repack B
-  // k-blocks row_tiles times over).
-  const int64_t workers =
-      parallel && ShouldFanOut(m * n * k) ? NumThreads() : 1;
-  if (workers > 1 && row_tiles * col_tiles >= workers) {
-    ParallelFor2D(row_tiles, col_tiles, [&](int64_t rt, int64_t ct) {
-      const int64_t i0 = rt * kMC;
-      const int64_t j0 = ct * kNC;
-      ComputeTile(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, ep,
-                  kernel, prepacked_a, prepacked_b, conv_img, i0,
-                  std::min(kMC, m - i0), j0, std::min(kNC, n - j0));
-    });
-    return;
-  }
-
-  // Hoisted path: op(B) packing is hoisted out of the row-macro-tile
-  // loop — each B k-block is packed once per column stripe and reused by
-  // every row tile, instead of being repacked ceil(m/MC) times. Per-element
-  // k-accumulation order is unchanged (ascending k-blocks), so the result
-  // stays bitwise identical to the parallel per-tile path.
-  //
-  // When the pool has workers but the product is under-tiled (fewer macro
-  // tiles than workers — the realtime batch-1 conv shapes), the NR-column
-  // micro-panels of each (k-block, row-tile) region are distributed over
-  // the pool instead (sub-tile ir/jr parallelism). Each C micro-tile is
-  // still written by exactly one task and k-blocks still accumulate in
-  // ascending order behind a ParallelFor barrier, so the result remains
-  // bitwise identical to the sequential schedule — no per-thread C scratch
-  // is needed.
-  const bool subtile = workers > 1;
   const int64_t mr = kernel.mr;
   const int64_t nr = kernel.nr;
+  // Products below the fan-out threshold run inline (ShouldFanOut).
+  const bool fan_out = parallel && ShouldFanOut(m * n * k);
   const int64_t kc_max = std::min(k, kKC);
   const int64_t a_pad_max =
       std::min(kMC, (std::min(kMC, m) + mr - 1) / mr * mr);
-  for (int64_t ct = 0; ct < col_tiles; ++ct) {
-    const int64_t j0 = ct * kNC;
+  for (int64_t j0 = 0; j0 < n; j0 += kNC) {
     const int64_t nc = std::min(kNC, n - j0);
     const int64_t nc_pad = (nc + nr - 1) / nr * nr;
     ScratchScope scope;
-    float* a_buf = prepacked_a ? nullptr : scope.Alloc(a_pad_max * kc_max);
-    float* b_buf = prepacked_b ? nullptr : scope.Alloc(kc_max * nc_pad);
+    float* a_buf = a.panels ? nullptr : scope.Alloc(a_pad_max * kc_max);
+    float* b_buf = b.panels ? nullptr : scope.Alloc(kc_max * nc_pad);
     for (int64_t pc = 0; pc < k; pc += kKC) {
       const int64_t kc = std::min(kKC, k - pc);
-      const float* b_pack;
-      if (prepacked_b != nullptr) {
-        b_pack = PrepackedBBlock(prepacked_b, k, n, nr, j0, pc, kc);
-      } else if (conv_img != nullptr) {
-        PackBConv(*conv_img, pc, kc, j0, nc, nr, b_buf);
-        b_pack = b_buf;
-      } else {
-        PackB(trans_b, b, k, n, pc, kc, j0, nc, nr, b_buf);
-        b_pack = b_buf;
-      }
-      const float blk_beta = (pc == 0) ? beta : 1.0f;
-      const bool last = pc + kc >= k;
-      for (int64_t rt = 0; rt < row_tiles; ++rt) {
-        const int64_t i0 = rt * kMC;
+      const float* b_pack = PackBBlock(b, pc, kc, j0, nc, nr, b_buf);
+      const bool add = pc > 0 || ep.accumulate;
+      const bool finish =
+          pc + kc >= k && (ep.row_bias || ep.col_bias || ep.relu);
+      for (int64_t i0 = 0; i0 < m; i0 += kMC) {
         const int64_t mc = std::min(kMC, m - i0);
-        const float* a_pack;
-        if (prepacked_a != nullptr) {
-          a_pack = PrepackedABlock(prepacked_a, m, mr, i0, pc, kc);
-        } else {
-          PackA(trans_a, a, m, k, i0, mc, pc, kc, mr, a_buf);
-          a_pack = a_buf;
-        }
+        const float* a_pack = PackABlock(a, i0, mc, pc, kc, mr, a_buf);
         const auto micro_panels = [&](int64_t jb0, int64_t jb1) {
           float acc[kMaxMR * kMaxNR];
           for (int64_t jb = jb0; jb < jb1; ++jb) {
@@ -366,14 +307,13 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
             const int64_t cols = std::min(nr, nc - jp);
             for (int64_t ip = 0; ip < mc; ip += mr) {
               kernel.fn(kc, a_pack + (ip / mr) * kc * mr, bp, acc);
-              StoreTile(acc, nr, std::min(mr, mc - ip), cols, alpha,
-                        blk_beta, last && !ep.empty(), ep, i0 + ip, j0 + jp,
-                        c, n);
+              StoreTile(acc, nr, std::min(mr, mc - ip), cols, add, finish,
+                        ep, i0 + ip, j0 + jp, c, n);
             }
           }
         };
         const int64_t jp_blocks = (nc + nr - 1) / nr;
-        if (subtile && jp_blocks > 1) {
+        if (fan_out && jp_blocks > 1) {
           ParallelFor(jp_blocks, micro_panels, /*min_chunk=*/1);
         } else {
           micro_panels(0, jp_blocks);
@@ -383,30 +323,10 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   }
 }
 
-}  // namespace
-
-void GemmEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-            float alpha, const float* a, const float* b, float beta, float* c,
-            const GemmEpilogue& ep, bool parallel) {
-  GemmExImpl(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, ep, parallel,
-             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr,
-             /*conv_img=*/nullptr);
-}
-
-void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
-                float alpha, float beta, float* c, const GemmEpilogue& ep,
-                bool parallel) {
-  GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, m, img.cols(),
-             img.depth(), alpha, a, /*b=*/img.padded, beta, c, ep, parallel,
-             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr, &img);
-}
-
-PackedAWeights PackedAWeights::Pack(bool trans_a, int64_t m, int64_t k,
-                                    const float* a) {
+PackedAWeights PackedAWeights::Pack(int64_t m, int64_t k, const float* a) {
   POE_CHECK_GT(m, 0);
   POE_CHECK_GT(k, 0);
-  const Kernel& kernel = PickKernel();
-  const int64_t mr = kernel.mr;
+  const int64_t mr = PickKernel().mr;
   const int64_t m_pad = (m + mr - 1) / mr * mr;
   PackedAWeights packed;
   packed.m_ = m;
@@ -417,7 +337,7 @@ PackedAWeights PackedAWeights::Pack(bool trans_a, int64_t m, int64_t k,
   // (row-tile, k-block) the blocked GEMM visits.
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
-    PackA(trans_a, a, m, k, /*i0=*/0, /*mc=*/m, pc, kc, mr,
+    PackA(/*trans_a=*/false, a, m, k, /*i0=*/0, /*mc=*/m, pc, kc, mr,
           packed.data_.data() + m_pad * pc);
   }
   return packed;
@@ -427,8 +347,7 @@ PackedBWeights PackedBWeights::Pack(bool trans_b, int64_t k, int64_t n,
                                     const float* b) {
   POE_CHECK_GT(k, 0);
   POE_CHECK_GT(n, 0);
-  const Kernel& kernel = PickKernel();
-  const int64_t nr = kernel.nr;
+  const int64_t nr = PickKernel().nr;
   PackedBWeights packed;
   packed.k_ = k;
   packed.n_ = n;
@@ -453,34 +372,8 @@ PackedBWeights PackedBWeights::Pack(bool trans_b, int64_t k, int64_t n,
   return packed;
 }
 
-void GemmConvPackedA(const PackedAWeights& a, const ConvImageView& img,
-                     float alpha, float beta, float* c, const GemmEpilogue& ep,
-                     bool parallel) {
-  POE_CHECK(!a.empty()) << "GemmConvPackedA on unpacked weights";
-  POE_CHECK_EQ(a.k_, img.depth());
-  GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, a.m_, img.cols(), a.k_,
-             alpha, /*a=*/nullptr, /*b=*/img.padded, beta, c, ep, parallel,
-             a.data_.data(), /*prepacked_b=*/nullptr, &img);
-}
-
-void GemmPackedB(int64_t m, const float* a, bool trans_a,
-                 const PackedBWeights& b, float alpha, float beta, float* c,
-                 const GemmEpilogue& ep, bool parallel) {
-  POE_CHECK(!b.empty()) << "GemmPackedB on unpacked weights";
-  GemmExImpl(trans_a, /*trans_b=*/false, m, b.n_, b.k_, alpha, a,
-             /*b=*/nullptr, beta, c, ep, parallel,
-             /*prepacked_a=*/nullptr, b.data_.data(), /*conv_img=*/nullptr);
-}
-
-void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-          float alpha, const float* a, const float* b, float beta, float* c) {
-  GemmEx(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, GemmEpilogue{},
-         /*parallel=*/true);
-}
-
 void GemmRef(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-             float alpha, const float* a, const float* b, float beta,
-             float* c) {
+             const float* a, const float* b, float* c, bool accumulate) {
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < n; ++j) {
       double acc = 0.0;
@@ -489,8 +382,8 @@ void GemmRef(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
         const float bv = trans_b ? b[j * k + p] : b[p * n + j];
         acc += static_cast<double>(av) * bv;
       }
-      const float prior = beta == 0.0f ? 0.0f : beta * c[i * n + j];
-      c[i * n + j] = alpha * static_cast<float>(acc) + prior;
+      const float prior = accumulate ? c[i * n + j] : 0.0f;
+      c[i * n + j] = static_cast<float>(acc) + prior;
     }
   }
 }
@@ -498,11 +391,8 @@ void GemmRef(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 int64_t GemmParallelTiles(int64_t m, int64_t n, int64_t k) {
   if (m <= 0 || n <= 0) return 0;
   if (!ShouldFanOut(m * n * k)) return 1;
-  // Under-tiled products distribute the NR-column micro-panels of one
-  // column stripe instead (sub-tile parallelism in GemmExImpl).
-  const int64_t tiles = ((m + kMC - 1) / kMC) * ((n + kNC - 1) / kNC);
   const int64_t nr = PickKernel().nr;
-  return std::max(tiles, (std::min(n, kNC) + nr - 1) / nr);
+  return (std::min(n, kNC) + nr - 1) / nr;
 }
 
 const char* GemmKernelName() { return PickKernel().name; }

@@ -20,11 +20,10 @@ namespace poe {
 
 namespace {
 
-// Macro-tile grid (same MC/NC as the f32 GEMM, so conv/linear layers can
-// reuse GemmParallelTiles for their parallelism decision). There is no
-// k-blocking: int8 panels are 4x denser than f32, so whole-k panels stay
-// cache-resident for every shape this system runs, and the register tile
-// finishes its exact int32 accumulation in one kernel call.
+// Row and column tiling (the f32 GEMM's MC/NC). There is no k-blocking:
+// int8 panels are 4x denser than f32, so whole-k panels stay cache-resident
+// for every shape this system runs, and the register tile finishes its
+// exact int32 accumulation in one kernel call.
 constexpr int64_t kMC = 240;  // multiple of every kernel's MR (6 and 12)
 constexpr int64_t kNC = 1024;
 
@@ -167,14 +166,13 @@ struct ConvRowCursor {
 };
 #endif  // POE_GEMM_S8_X86
 
-// Chunk-wise specialization of PackAs8 for the untransposed case: each
-// source row contributes contiguous kr-byte runs, so the pack is a plain
-// kr-byte copy with the +128 shift applied as a bytewise XOR of the top
-// bit ((int8)v + 128 == (uint8)v ^ 0x80). ~4x the bytewise generic loop.
-void PackAs8RowMajor(const int8_t* a, int64_t m, int64_t k, int64_t i0,
-                     int64_t mc, int64_t mr, int64_t kr, uint8_t shift,
-                     uint8_t* out) {
-  (void)m;
+// Packs rows [i0, i0+mc) of the row-major m x k int8 matrix `a` into
+// `out` (the A layout of pack_s8.h): each source row contributes
+// contiguous kr-byte runs, so the pack is a plain kr-byte copy with the
+// +128 shift applied as a bytewise XOR of the top bit ((int8)v + 128 ==
+// (uint8)v ^ 0x80).
+void PackAs8RowMajor(const int8_t* a, int64_t k, int64_t i0, int64_t mc,
+                     int64_t mr, int64_t kr, uint8_t shift, uint8_t* out) {
   const int64_t kpad = (k + kr - 1) / kr * kr;
   const int64_t group = mr * kr;
   const int64_t kfull = k / kr * kr;
@@ -783,41 +781,6 @@ const KernelS8& PickKernelS8() {
   return kernel;
 }
 
-// Kernel-aware packing dispatch: the untransposed A side always takes the
-// chunk-wise row-major packer; the untransposed B side takes the SIMD
-// transpose packer when the dispatched kernel uses the VNNI geometry.
-void PackADispatch(const KernelS8& kn, bool trans_a, const int8_t* a,
-                   int64_t m, int64_t k, int64_t i0, int64_t mc,
-                   uint8_t* out) {
-  if (!trans_a) {
-    PackAs8RowMajor(a, m, k, i0, mc, kn.mr, kn.kr, kn.shift, out);
-  } else {
-    PackAs8(true, a, m, k, i0, mc, kn.mr, kn.kr, kn.shift, out);
-  }
-}
-
-void PackBDispatch(const KernelS8& kn, bool trans_b, const int8_t* b,
-                   int64_t k, int64_t n, int64_t j0, int64_t nc,
-                   int8_t* out, int32_t* colsum) {
-  if (!trans_b && kn.pack_b_fast != nullptr) {
-    kn.pack_b_fast(b, k, n, j0, nc, out, colsum);
-    return;
-  }
-  PackBs8(trans_b, b, k, n, j0, nc, kn.nr, kn.kr, out, colsum);
-}
-
-// Direct-conv B pack: gathers the virtual im2col block straight from the
-// padded image, SIMD when the kernel provides a conv packer.
-void PackBConvDispatch(const KernelS8& kn, const ConvImageViewS8& img,
-                       int64_t j0, int64_t nc, int8_t* out,
-                       int32_t* colsum) {
-  if (kn.pack_b_conv_fast != nullptr) {
-    kn.pack_b_conv_fast(img, j0, nc, out, colsum);
-    return;
-  }
-  PackBs8Conv(img, j0, nc, kn.nr, kn.kr, out, colsum);
-}
-
 // Scalar int32 -> f32 conversion, shared by the scalar/avx2 store path,
 // GemmS8Ref, and the k == 0 epilogue-only path. The vectorized VNNI store
 // performs the same arithmetic with a different operation order, so it
@@ -854,7 +817,7 @@ __attribute__((noinline)) void DequantStoreS8(
   }
 }
 
-// Register-tile loops over one packed macro-tile.
+// Register-tile loops over one packed row tile x column range.
 void MicroLoopsS8(const KernelS8& kernel, const uint8_t* a_pack,
                   const int8_t* b_pack, const int32_t* colsum, int64_t kpad,
                   int64_t i0, int64_t mc, int64_t j0, int64_t nc,
@@ -881,74 +844,109 @@ void MicroLoopsS8(const KernelS8& kernel, const uint8_t* a_pack,
   }
 }
 
-// Offsets into a persistent prepacked op(B): per column tile the panels
-// occupy kpad * nc_pad bytes and the colsums nc_pad entries; every tile
-// before j0 is full (kNC wide, kNC a multiple of every NR), so tile bases
-// are kpad * j0 / j0 exactly.
-struct PrepackedS8B {
-  const int8_t* data;
-  const int32_t* colsum;
-};
-
-// Computes the C macro-tile [i0, i0+mc) x [j0, j0+nc) from scratch-packed
-// panels. `prepacked_a` (kernel-layout panels for the full m, from
-// PackedS8Weights) skips the A pack; it requires i0 % mr == 0, which holds
-// because kMC is a multiple of every MR. `prepacked_b` (panels + colsums
-// for the full k x n, from PackedS8BWeights) likewise skips the B pack.
-// `conv_img` substitutes the virtual im2col matrix for b (direct conv).
-void ComputeTileS8(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                   int64_t k, const int8_t* a, const int8_t* b,
-                   const ConvImageViewS8* conv_img, float* c,
-                   const GemmS8Epilogue& ep, const KernelS8& kernel,
-                   const uint8_t* prepacked_a, const PrepackedS8B* prepacked_b,
-                   int64_t i0, int64_t mc, int64_t j0, int64_t nc) {
-  const int64_t mr = kernel.mr;
-  const int64_t nr = kernel.nr;
-  const int64_t kpad = (k + kernel.kr - 1) / kernel.kr * kernel.kr;
-  const int64_t mc_pad = (mc + mr - 1) / mr * mr;
-  const int64_t nc_pad = (nc + nr - 1) / nr * nr;
-
-  ScratchScope scope;
-  const uint8_t* a_pack;
-  if (prepacked_a != nullptr) {
-    a_pack = prepacked_a + (i0 / mr) * kpad * mr;
-  } else {
-    uint8_t* buf = AllocU8(scope, mc_pad * kpad);
-    PackADispatch(kernel, trans_a, a, m, k, i0, mc, buf);
-    a_pack = buf;
-  }
-  const int8_t* b_pack;
-  const int32_t* colsum;
-  int32_t colsum_buf[kNC];
-  if (prepacked_b != nullptr) {
-    b_pack = prepacked_b->data + kpad * j0;
-    colsum = prepacked_b->colsum + j0;
-  } else {
-    int8_t* buf = AllocS8(scope, nc_pad * kpad);
-    if (conv_img != nullptr) {
-      PackBConvDispatch(kernel, *conv_img, j0, nc, buf, colsum_buf);
-    } else {
-      PackBDispatch(kernel, trans_b, b, k, n, j0, nc, buf, colsum_buf);
-    }
-    b_pack = buf;
-    colsum = colsum_buf;
-  }
-  MicroLoopsS8(kernel, a_pack, b_pack, colsum, kpad, i0, mc, j0, nc, ep, c,
-               n);
+// The packed A panels of rows [i0, i0+mc): the matching region of
+// prepacked panels (whose row tiles start at multiples of kMC, itself a
+// multiple of every MR), or `buf` after packing the raw matrix into it.
+const uint8_t* PackABlockS8(const KernelS8& kn, const GemmS8A& a, int64_t i0,
+                            int64_t mc, int64_t kpad, uint8_t* buf) {
+  if (a.panels != nullptr) return a.panels + (i0 / kn.mr) * kpad * kn.mr;
+  PackAs8RowMajor(a.data, a.k, i0, mc, kn.mr, kn.kr, kn.shift, buf);
+  return buf;
 }
 
-void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                const int8_t* a, const int8_t* b, float* c,
-                const GemmS8Epilogue& ep, bool parallel,
-                const uint8_t* prepacked_a, const PrepackedS8B* prepacked_b,
-                const ConvImageViewS8* conv_img) {
+// The packed op(B) panels of columns [j0, j0+nc), with *colsum pointed at
+// their column sums: the matching region of prepacked panels (every column
+// tile before j0 is full, kNC wide and a multiple of every NR, so it holds
+// exactly kpad * j0 bytes and j0 sums), or `buf`/`colsum_buf` after packing
+// the raw matrix or gathering the conv view's virtual im2col block, with
+// the kernel's SIMD packer where it has one.
+const int8_t* PackBBlockS8(const KernelS8& kn, const GemmS8B& b, int64_t j0,
+                           int64_t nc, int64_t kpad, int8_t* buf,
+                           int32_t* colsum_buf, const int32_t** colsum) {
+  if (b.panels != nullptr) {
+    *colsum = b.colsum + j0;
+    return b.panels + kpad * j0;
+  }
+  *colsum = colsum_buf;
+  if (b.conv.padded != nullptr) {
+    if (kn.pack_b_conv_fast != nullptr) {
+      kn.pack_b_conv_fast(b.conv, j0, nc, buf, colsum_buf);
+    } else {
+      PackBs8Conv(b.conv, j0, nc, kn.nr, kn.kr, buf, colsum_buf);
+    }
+  } else if (!b.trans && kn.pack_b_fast != nullptr) {
+    kn.pack_b_fast(b.data, b.k, b.n, j0, nc, buf, colsum_buf);
+  } else {
+    PackBs8(b.trans, b.data, b.k, b.n, j0, nc, kn.nr, kn.kr, buf,
+            colsum_buf);
+  }
+  return buf;
+}
+
+}  // namespace
+
+GemmS8A GemmS8A::Raw(int64_t m, int64_t k, const int8_t* a) {
+  GemmS8A d;
+  d.m = m;
+  d.k = k;
+  d.data = a;
+  return d;
+}
+
+GemmS8A GemmS8A::Packed(const PackedS8Weights& a) {
+  POE_CHECK(!a.empty()) << "GemmS8 on unpacked A weights";
+  GemmS8A d;
+  d.m = a.m_;
+  d.k = a.k_;
+  d.panels = a.data_.data();
+  return d;
+}
+
+GemmS8B GemmS8B::Raw(int64_t k, int64_t n, const int8_t* b, bool trans) {
+  GemmS8B d;
+  d.k = k;
+  d.n = n;
+  d.data = b;
+  d.trans = trans;
+  return d;
+}
+
+GemmS8B GemmS8B::Packed(const PackedS8BWeights& b) {
+  POE_CHECK(!b.empty()) << "GemmS8 on unpacked B weights";
+  GemmS8B d;
+  d.k = b.k_;
+  d.n = b.n_;
+  d.panels = b.data_.data();
+  d.colsum = b.colsum_.data();
+  return d;
+}
+
+GemmS8B GemmS8B::Conv(const ConvImageViewS8& img) {
+  if (img.is_matrix()) return Raw(img.depth(), img.cols(), img.padded);
+  GemmS8B d;
+  d.k = img.depth();
+  d.n = img.cols();
+  d.conv = img;
+  return d;
+}
+
+// The f32 Gemm's schedule: op(B) is packed once per column stripe and
+// reused by every kMC row tile, and a fanned-out product spreads the
+// NR-column micro-panels of each row tile over the pool. Every register
+// tile is computed by exactly one task with the same packed panels and the
+// same single dequantizing store, so the result does not depend on the
+// thread count.
+void GemmS8(const GemmS8A& a, const GemmS8B& b, float* c,
+            const GemmS8Epilogue& ep, bool parallel) {
+  POE_CHECK_EQ(a.k, b.k) << "GemmS8 operand depths differ";
+  const int64_t m = a.m;
+  const int64_t n = b.n;
+  const int64_t k = a.k;
   POE_CHECK_GE(m, 0);
   POE_CHECK_GE(n, 0);
   POE_CHECK_GE(k, 0);
   POE_CHECK_LE(k, kMaxK) << "int8 GEMM depth would risk int32 overflow";
   if (m == 0 || n == 0) return;
-  // A 1x1, pad-0, stride-1 view is its own B matrix: pack it as one.
-  if (conv_img != nullptr && conv_img->is_matrix()) conv_img = nullptr;
   if (k == 0) {
     for (int64_t i = 0; i < m; ++i)
       for (int64_t j = 0; j < n; ++j) c[i * n + j] = DequantOne(i, j, 0, ep);
@@ -956,70 +954,26 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   }
 
   const KernelS8& kernel = PickKernelS8();
-  const int64_t row_tiles = (m + kMC - 1) / kMC;
-  const int64_t col_tiles = (n + kNC - 1) / kNC;
-  // Products below the fan-out threshold run inline (ShouldFanOut).
-  const int64_t workers =
-      parallel && ShouldFanOut(m * n * k) ? NumThreads() : 1;
-  // Macro-tile parallelism only when there are enough tiles to occupy the
-  // pool; under-tiled shapes (the common conv geometry: out_channels <=
-  // kMC, out pixels <= kNC) fall through to the hoisted path, which
-  // distributes NR-column micro-panel blocks of each macro tile across the
-  // workers instead (sub-tile parallelism). Both schedules produce bitwise
-  // identical C: every register tile is computed by exactly one task with
-  // the same packed panels and the same single dequantizing store.
-  if (workers > 1 && row_tiles * col_tiles >= workers) {
-    ParallelFor2D(row_tiles, col_tiles, [&](int64_t rt, int64_t ct) {
-      const int64_t i0 = rt * kMC;
-      const int64_t j0 = ct * kNC;
-      ComputeTileS8(trans_a, trans_b, m, n, k, a, b, conv_img, c, ep,
-                    kernel, prepacked_a, prepacked_b, i0,
-                    std::min(kMC, m - i0), j0, std::min(kNC, n - j0));
-    });
-    return;
-  }
-  // Hoisted path: op(B) packing is hoisted out of the row-tile loop —
-  // each B stripe is packed once per column tile and reused by every row
-  // macro-tile (the f32 path shares this structure). With workers > 1 the
-  // register-tile loops split over micro-panel column blocks.
-  const bool subtile = workers > 1;
-  const int64_t kpad = (k + kernel.kr - 1) / kernel.kr * kernel.kr;
   const int64_t mr = kernel.mr;
   const int64_t nr = kernel.nr;
-  for (int64_t ct = 0; ct < col_tiles; ++ct) {
-    const int64_t j0 = ct * kNC;
+  const int64_t kpad = (k + kernel.kr - 1) / kernel.kr * kernel.kr;
+  // Products below the fan-out threshold run inline (ShouldFanOut).
+  const bool fan_out = parallel && ShouldFanOut(m * n * k);
+  const int64_t a_pad_max =
+      std::min(kMC, (std::min(kMC, m) + mr - 1) / mr * mr);
+  for (int64_t j0 = 0; j0 < n; j0 += kNC) {
     const int64_t nc = std::min(kNC, n - j0);
     const int64_t nc_pad = (nc + nr - 1) / nr * nr;
     ScratchScope scope;
-    const int8_t* b_pack;
-    const int32_t* colsum;
+    uint8_t* a_buf = a.panels ? nullptr : AllocU8(scope, a_pad_max * kpad);
+    int8_t* b_buf = b.panels ? nullptr : AllocS8(scope, nc_pad * kpad);
     int32_t colsum_buf[kNC];
-    if (prepacked_b != nullptr) {
-      b_pack = prepacked_b->data + kpad * j0;
-      colsum = prepacked_b->colsum + j0;
-    } else {
-      int8_t* buf = AllocS8(scope, nc_pad * kpad);
-      if (conv_img != nullptr) {
-        PackBConvDispatch(kernel, *conv_img, j0, nc, buf, colsum_buf);
-      } else {
-        PackBDispatch(kernel, trans_b, b, k, n, j0, nc, buf, colsum_buf);
-      }
-      b_pack = buf;
-      colsum = colsum_buf;
-    }
-    for (int64_t rt = 0; rt < row_tiles; ++rt) {
-      const int64_t i0 = rt * kMC;
+    const int32_t* colsum = nullptr;
+    const int8_t* b_pack =
+        PackBBlockS8(kernel, b, j0, nc, kpad, b_buf, colsum_buf, &colsum);
+    for (int64_t i0 = 0; i0 < m; i0 += kMC) {
       const int64_t mc = std::min(kMC, m - i0);
-      const uint8_t* a_pack;
-      ScratchScope tile_scope;
-      if (prepacked_a != nullptr) {
-        a_pack = prepacked_a + (i0 / mr) * kpad * mr;
-      } else {
-        const int64_t mc_pad = (mc + mr - 1) / mr * mr;
-        uint8_t* buf = AllocU8(tile_scope, mc_pad * kpad);
-        PackADispatch(kernel, trans_a, a, m, k, i0, mc, buf);
-        a_pack = buf;
-      }
+      const uint8_t* a_pack = PackABlockS8(kernel, a, i0, mc, kpad, a_buf);
       // One block = [jb0, jb1) micro panels; pointers advance whole
       // panels, so each block runs MicroLoopsS8 on a disjoint C column
       // range with its own accumulator (no shared mutable state).
@@ -1029,23 +983,13 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                      std::min(nc - jb0 * nr, (jb1 - jb0) * nr), ep, c, n);
       };
       const int64_t jp_blocks = (nc + nr - 1) / nr;
-      if (subtile && jp_blocks > 1) {
+      if (fan_out && jp_blocks > 1) {
         ParallelFor(jp_blocks, micro_panels, /*min_chunk=*/1);
       } else {
         micro_panels(0, jp_blocks);
       }
     }
   }
-}
-
-}  // namespace
-
-void GemmS8(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-            const int8_t* a, const int8_t* b, float* c,
-            const GemmS8Epilogue& epilogue, bool parallel) {
-  GemmS8Impl(trans_a, trans_b, m, n, k, a, b, c, epilogue, parallel,
-             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr,
-             /*conv_img=*/nullptr);
 }
 
 PackedS8Weights PackedS8Weights::Pack(int64_t m, int64_t k,
@@ -1060,19 +1004,9 @@ PackedS8Weights PackedS8Weights::Pack(int64_t m, int64_t k,
   packed.m_ = m;
   packed.k_ = k;
   packed.data_.resize(static_cast<size_t>(panels * kpad * kernel.mr));
-  PackADispatch(kernel, /*trans_a=*/false, a, m, k, /*i0=*/0, /*mc=*/m,
-                packed.data_.data());
+  PackAs8RowMajor(a, k, /*i0=*/0, /*mc=*/m, kernel.mr, kernel.kr,
+                  kernel.shift, packed.data_.data());
   return packed;
-}
-
-void GemmS8ConvPackedA(const PackedS8Weights& a, const ConvImageViewS8& img,
-                       float* c, const GemmS8Epilogue& epilogue,
-                       bool parallel) {
-  POE_CHECK(!a.empty()) << "GemmS8ConvPackedA on unpacked weights";
-  POE_CHECK_EQ(a.k_, img.depth());
-  GemmS8Impl(/*trans_a=*/false, /*trans_b=*/false, a.m_, img.cols(), a.k_,
-             /*a=*/nullptr, /*b=*/img.padded, c, epilogue, parallel,
-             a.data_.data(), /*prepacked_b=*/nullptr, &img);
 }
 
 void PackedS8Weights::Unpack(int8_t* out) const {
@@ -1115,23 +1049,14 @@ PackedS8BWeights PackedS8BWeights::Pack(bool trans_b, int64_t k, int64_t n,
   }
   packed.data_.resize(static_cast<size_t>(kpad * pad_cols));
   packed.colsum_.resize(static_cast<size_t>(pad_cols));
+  const GemmS8B raw = GemmS8B::Raw(k, n, b, trans_b);
+  const int32_t* unused = nullptr;
   for (int64_t j0 = 0; j0 < n; j0 += kNC) {
-    const int64_t nc = std::min(kNC, n - j0);
-    PackBDispatch(kernel, trans_b, b, k, n, j0, nc,
-                  packed.data_.data() + kpad * j0,
-                  packed.colsum_.data() + j0);
+    PackBBlockS8(kernel, raw, j0, std::min(kNC, n - j0), kpad,
+                 packed.data_.data() + kpad * j0,
+                 packed.colsum_.data() + j0, &unused);
   }
   return packed;
-}
-
-void GemmS8PackedB(bool trans_a, int64_t m, const int8_t* a,
-                   const PackedS8BWeights& b, float* c,
-                   const GemmS8Epilogue& epilogue, bool parallel) {
-  POE_CHECK(!b.empty()) << "GemmS8PackedB on unpacked weights";
-  const PrepackedS8B pb{b.data_.data(), b.colsum_.data()};
-  GemmS8Impl(trans_a, /*trans_b=*/false, m, b.n_, b.k_, a,
-             /*b=*/nullptr, c, epilogue, parallel,
-             /*prepacked_a=*/nullptr, &pb, /*conv_img=*/nullptr);
 }
 
 void PackedS8BWeights::Unpack(int8_t* out) const {
@@ -1157,20 +1082,26 @@ void PackedS8BWeights::Unpack(int8_t* out) const {
   }
 }
 
-void GemmS8Ref(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+void GemmS8Ref(bool trans_b, int64_t m, int64_t n, int64_t k,
                const int8_t* a, const int8_t* b, float* c,
                const GemmS8Epilogue& epilogue) {
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < n; ++j) {
       int32_t acc = 0;
       for (int64_t p = 0; p < k; ++p) {
-        const int32_t av = trans_a ? a[p * m + i] : a[i * k + p];
         const int32_t bv = trans_b ? b[j * k + p] : b[p * n + j];
-        acc += av * bv;
+        acc += a[i * k + p] * bv;
       }
       c[i * n + j] = DequantOne(i, j, acc, epilogue);
     }
   }
+}
+
+int64_t GemmS8ParallelTiles(int64_t m, int64_t n, int64_t k) {
+  if (m <= 0 || n <= 0) return 0;
+  if (!ShouldFanOut(m * n * k)) return 1;
+  const int64_t nr = PickKernelS8().nr;
+  return (std::min(n, kNC) + nr - 1) / nr;
 }
 
 const char* GemmS8KernelName() { return PickKernelS8().name; }

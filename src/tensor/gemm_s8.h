@@ -1,6 +1,7 @@
 // Blocked, packed, SIMD-dispatched int8 x int8 -> int32 GEMM with a fused
-// dequantizing epilogue: the quantized serving hot path. Shares the f32
-// GEMM's MC/NC macro-tiling (docs/PERF.md) and adds a KR k-group interleave
+// dequantizing epilogue: the quantized serving hot path. Like the f32 GEMM
+// (tensor/gemm.h) it is one driver over operand descriptors, with the same
+// MC/NC tiling and schedule (docs/PERF.md); it adds a KR k-group interleave
 // for the 8-bit dot-product instructions.
 #ifndef POE_TENSOR_GEMM_S8_H_
 #define POE_TENSOR_GEMM_S8_H_
@@ -32,23 +33,11 @@ struct GemmS8Epilogue {
   bool relu = false;
 };
 
-/// C (f32, m x n, row-major) = epilogue(op(A) * op(B)) where A and B are
-/// int8 and the product accumulates exactly in int32 (no intermediate
-/// rounding). Within a process results are bitwise identical across
-/// thread counts and across the plain/prepacked entry points; different
-/// kernels may differ by a few ulps in the f32 epilogue (the VNNI store
-/// vectorizes it with a different operation order). op(A)/op(B) transpose
-/// semantics match the f32 Gemm. k must be at most 1 << 16 so the
-/// worst-case accumulator cannot overflow.
-void GemmS8(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-            const int8_t* a, const int8_t* b, float* c,
-            const GemmS8Epilogue& epilogue, bool parallel);
-
-/// Weights pre-packed once into the dispatched kernel's op(A) panel layout
-/// (an m x k row-major int8 matrix, no transpose). Serving layers build
-/// this at quantization time so per-query GEMMs skip the A-packing pass
-/// and the f32 weights can be released. Valid only within the process that
-/// packed it (the layout depends on the dispatched kernel geometry).
+/// Weights pre-packed once into the dispatched kernel's A panel layout
+/// (an m x k row-major int8 matrix). Serving layers build this at
+/// quantization time so per-query GEMMs skip the A-packing pass and the
+/// f32 weights can be released. Valid only within the process that packed
+/// it (the layout depends on the dispatched kernel geometry).
 class PackedS8Weights {
  public:
   PackedS8Weights() = default;
@@ -69,34 +58,19 @@ class PackedS8Weights {
   int64_t nbytes() const { return static_cast<int64_t>(data_.size()); }
 
  private:
-  friend void GemmS8ConvPackedA(const PackedS8Weights&,
-                                const ConvImageViewS8&, float*,
-                                const GemmS8Epilogue&, bool);
+  friend struct GemmS8A;
   std::vector<uint8_t> data_;  // shift-applied panels, kpad*mr per panel
   int64_t m_ = 0, k_ = 0;
 };
 
-/// Direct (im2col-free) int8 convolution as GEMM with the weight operand
-/// pre-packed — the int8 conv serving path: C (m x img.cols()) =
-/// epilogue(packed_a * vcol(img)), where vcol(img) is the virtual im2col
-/// matrix of the quantized padded image, gathered while packing
-/// (PackBs8Conv / the kernels' SIMD conv packers) at any stride. A 1x1,
-/// pad-0, stride-1 view is packed as the plain k x n matrix it is. Panel
-/// bytes and colsums are identical to packing the materialized im2col
-/// matrix and the int32 accumulation is exact, so outputs are bitwise
-/// identical to GemmS8 over im2col on every kernel tier.
-void GemmS8ConvPackedA(const PackedS8Weights& a, const ConvImageViewS8& img,
-                       float* c, const GemmS8Epilogue& epilogue,
-                       bool parallel);
-
 /// op(B) of a k x n int8 product pre-packed ONCE into the dispatched
 /// kernel's NR-column / KR-group panel layout, column sums included (the
 /// shift-compensation term the dequantizing store needs). Linear's int8
-/// serving weight is op(B) = W^T — its per-call transposed PackBs8 was the
-/// dominant cost at BM_LinearForwardInt8 geometry, and this form deletes
-/// it. Panel bytes and colsums are identical to the on-the-fly pack, so
-/// GemmS8PackedB is bitwise identical to GemmS8. Process-local (layout
-/// depends on the dispatched kernel geometry).
+/// serving weight is op(B) = W^T, and this form deletes its per-call
+/// transposed pack. Panel bytes and colsums are identical to the
+/// on-the-fly pack, so the product is bitwise identical to the one over
+/// the raw matrix. Process-local (layout depends on the dispatched kernel
+/// geometry).
 class PackedS8BWeights {
  public:
   PackedS8BWeights() = default;
@@ -121,24 +95,63 @@ class PackedS8BWeights {
   }
 
  private:
-  friend void GemmS8PackedB(bool, int64_t, const int8_t*,
-                            const PackedS8BWeights&, float*,
-                            const GemmS8Epilogue&, bool);
+  friend struct GemmS8B;
   std::vector<int8_t> data_;     // per column tile: kpad*nr panels
   std::vector<int32_t> colsum_;  // per packed column (nr-padded per tile)
   int64_t k_ = 0, n_ = 0;
 };
 
-/// GemmS8 with op(B) pre-packed: C (m x n) = epilogue(op(A) * packed_b)
-/// where op(A) is A (m x k) when !trans_a. The linear serving path
-/// (activations are A, untransposed).
-void GemmS8PackedB(bool trans_a, int64_t m, const int8_t* a,
-                   const PackedS8BWeights& b, float* c,
-                   const GemmS8Epilogue& epilogue, bool parallel);
+/// The A operand of GemmS8 (m x k): a row-major int8 matrix or prepacked
+/// panels. Descriptors point into caller storage.
+struct GemmS8A {
+  static GemmS8A Raw(int64_t m, int64_t k, const int8_t* a);
+  static GemmS8A Packed(const PackedS8Weights& a);
+
+  int64_t m = 0, k = 0;
+  const int8_t* data = nullptr;     ///< raw storage
+  const uint8_t* panels = nullptr;  ///< set for prepacked panels
+};
+
+/// The B operand of GemmS8, op(B) with depth k and n columns: a row-major
+/// int8 matrix, prepacked panels, or the virtual im2col matrix of a
+/// quantized conv image view, gathered while packing (PackBs8Conv / the
+/// kernels' SIMD conv packers) at any stride. A 1x1, pad-0, stride-1 view
+/// is the plain matrix it holds, and Conv() describes it as one.
+struct GemmS8B {
+  /// op(B) = B stored k x n, or B^T of an n x k storage when `trans`.
+  static GemmS8B Raw(int64_t k, int64_t n, const int8_t* b,
+                     bool trans = false);
+  static GemmS8B Packed(const PackedS8BWeights& b);
+  static GemmS8B Conv(const ConvImageViewS8& img);
+
+  int64_t k = 0, n = 0;
+  const int8_t* data = nullptr;     ///< raw storage
+  bool trans = false;
+  const int8_t* panels = nullptr;   ///< set for prepacked panels
+  const int32_t* colsum = nullptr;  ///< their column sums
+  ConvImageViewS8 conv;             ///< used when conv.padded is set
+};
+
+/// C (f32, a.m x b.n, row-major) = epilogue(A * op(B)) where A and B are
+/// int8 and the product accumulates exactly in int32 (no intermediate
+/// rounding). A's depth must equal B's and be at most 1 << 16, so the
+/// worst-case accumulator cannot overflow. `parallel` has the f32 Gemm's
+/// meaning. Within a process results are bitwise identical across thread
+/// counts and operand forms of the same values (panel bytes and colsums
+/// do not depend on the source); different kernels may differ by a few
+/// ulps in the f32 epilogue (the VNNI store vectorizes it with a different
+/// operation order).
+void GemmS8(const GemmS8A& a, const GemmS8B& b, float* c,
+            const GemmS8Epilogue& epilogue, bool parallel);
+
+/// GemmParallelTiles for GemmS8: 1 below the fan-out threshold, else the
+/// int8 kernel's NR-column micro-panels in one column stripe.
+int64_t GemmS8ParallelTiles(int64_t m, int64_t n, int64_t k);
 
 /// Naive triple-loop reference with exact int32 accumulation and the same
-/// epilogue arithmetic (bitwise-identical outputs). The test oracle.
-void GemmS8Ref(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+/// epilogue arithmetic (bitwise-identical outputs). The test oracle; A is
+/// row-major m x k, op(B) as in GemmS8B::Raw.
+void GemmS8Ref(bool trans_b, int64_t m, int64_t n, int64_t k,
                const int8_t* a, const int8_t* b, float* c,
                const GemmS8Epilogue& epilogue);
 

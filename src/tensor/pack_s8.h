@@ -8,13 +8,13 @@
 
 namespace poe {
 
-// The int8 micro-kernels consume op(A) as MR-row panels and op(B) as
+// The int8 micro-kernels consume A as MR-row panels and op(B) as
 // NR-column panels with the k axis additionally grouped by KR (the number
 // of 8-bit products one kernel instruction accumulates: 4 for AVX-512 VNNI
 // vpdpbusd, 2 for the AVX2 int16-madd path):
 //
 //   a_pack[(ip/MR)*kpad*MR + (p/KR)*MR*KR + r*KR + (p%KR)]
-//       = shift + op(A)(i0+ip+r, p)                        (stored uint8)
+//       = shift + A(i0+ip+r, p)                            (stored uint8)
 //   b_pack[(jp/NR)*kpad*NR + (p/KR)*NR*KR + c*KR + (p%KR)]
 //       = op(B)(p, j0+jp+c)                                (stored int8)
 //
@@ -35,56 +35,6 @@ namespace poe {
 // column (colsum must hold ceil(nc/nr)*nr entries), the compensation term
 // the dequantizing store needs to undo the A shift:
 // sum_p (a+128)*b = sum_p a*b + 128*colsum.
-
-/// Packs the op(A) block rows [i0, i0+mc) x the full k into `out`
-/// (ceil(mc/mr) panels of kpad*mr bytes, kpad = k rounded up to kr).
-/// op(A) is the m x k operand: A itself when !trans_a, else the transpose
-/// of the k x m storage.
-inline void PackAs8(bool trans_a, const int8_t* a, int64_t m, int64_t k,
-                    int64_t i0, int64_t mc, int64_t mr, int64_t kr,
-                    uint8_t shift, uint8_t* out) {
-  const int64_t kpad = (k + kr - 1) / kr * kr;
-  const int64_t group = mr * kr;  // bytes per packed k-group
-  for (int64_t ip = 0; ip < mc; ip += mr) {
-    const int64_t rows = (mc - ip < mr) ? mc - ip : mr;
-    uint8_t* panel = out + (ip / mr) * kpad * mr;
-    if (!trans_a) {
-      // A(i, p) = a[i*k + p]: each source row is contiguous in p.
-      for (int64_t r = 0; r < rows; ++r) {
-        const int8_t* src = a + (i0 + ip + r) * k;
-        uint8_t* dst = panel + r * kr;
-        int64_t p = 0;
-        for (; p + kr <= k; p += kr, dst += group) {
-          for (int64_t q = 0; q < kr; ++q)
-            dst[q] = static_cast<uint8_t>(src[p + q] + shift);
-        }
-        for (int64_t q = 0; p < k; ++p, ++q)
-          dst[q] = static_cast<uint8_t>(src[p] + shift);
-      }
-    } else {
-      // A(i, p) = a[p*m + i]: each source k-slice is contiguous in r.
-      for (int64_t p = 0; p < k; ++p) {
-        const int8_t* src = a + p * m + i0 + ip;
-        uint8_t* dst = panel + (p / kr) * group + (p % kr);
-        for (int64_t r = 0; r < rows; ++r)
-          dst[r * kr] = static_cast<uint8_t>(src[r] + shift);
-      }
-    }
-    // Row padding and the k tail are `shift` (zero after unshifting).
-    if (rows < mr) {
-      for (int64_t p = 0; p < kpad; ++p) {
-        uint8_t* dst = panel + (p / kr) * group + (p % kr);
-        for (int64_t r = rows; r < mr; ++r) dst[r * kr] = shift;
-      }
-    }
-    if (k < kpad) {
-      for (int64_t p = k; p < kpad; ++p) {
-        uint8_t* dst = panel + (p / kr) * group + (p % kr);
-        for (int64_t r = 0; r < rows; ++r) dst[r * kr] = shift;
-      }
-    }
-  }
-}
 
 /// Packs the op(B) block full k x [j0, j0+nc) into `out` (ceil(nc/nr)
 /// panels of kpad*nr bytes) and writes colsum[c] for c in [0,

@@ -40,9 +40,10 @@ void ParallelFor(int64_t n,
 
 /// Runs body(row, col) once for every cell of the rows x cols grid,
 /// distributing cells over the same worker pool. Each invocation is an
-/// independent task (chunk size 1): intended for coarse 2-D tile spaces
-/// (e.g. GEMM macro-tiles) where per-cell work is large and uneven. Runs
-/// inline under the same conditions as ParallelFor.
+/// independent task (chunk size 1): intended for coarse 2-D task spaces
+/// (e.g. one expert per task in ExpertPool::Preprocess) where per-cell
+/// work is large and uneven. Runs inline under the same conditions as
+/// ParallelFor.
 void ParallelFor2D(int64_t rows, int64_t cols,
                    const std::function<void(int64_t row, int64_t col)>& body);
 

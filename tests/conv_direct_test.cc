@@ -1,8 +1,9 @@
 // Direct (im2col-free) convolution: the guarantee is bitwise identity
 // with the im2col lowering on every kernel tier, at every stride and pad,
 // plus sub-tile determinism (thread count never changes output bits). The
-// GEMM-level tests compare GemmConvEx/GemmConvPackedA/GemmS8ConvPackedA
-// against the same GEMM run over a materialized im2col matrix; the
+// GEMM-level tests compare products over conv-view B operands (raw and
+// prepacked A, f32 and int8) against the same GEMM run over a materialized
+// im2col matrix; the
 // layer-level tests compare Conv2d forwards (f32 plain, prepacked and
 // training; int8 with dynamic and static activation scales) against a
 // test-local Im2Col + GEMM reference. CMake reruns this binary under
@@ -110,8 +111,9 @@ TEST(ConvDirectGemmTest, F32BitwiseMatchesIm2Col) {
     Im2Col(img.data(), g.c, g.h, g.w, g.kernel, g.kernel, g.pad, g.stride,
            cols.data());
     std::vector<float> c_ref(static_cast<size_t>(m * cols_n));
-    GemmEx(false, false, m, cols_n, depth, 1.0f, weight.data(), cols.data(),
-           0.0f, c_ref.data(), ep, /*parallel=*/false);
+    const GemmA raw = GemmA::Raw(m, depth, weight.data());
+    Gemm(raw, GemmB::Raw(depth, cols_n, cols.data()), c_ref.data(), ep,
+         /*parallel=*/false);
 
     const std::vector<float> padded = PadImage(img, g.c, g.h, g.w, g.pad);
     const ConvImageView view = MakeView(g, img, padded);
@@ -119,18 +121,16 @@ TEST(ConvDirectGemmTest, F32BitwiseMatchesIm2Col) {
     ASSERT_EQ(view.cols(), cols_n);
 
     // The prepacked weight operand carries the same bitwise guarantee.
-    PackedAWeights packed =
-        PackedAWeights::Pack(/*trans_a=*/false, m, depth, weight.data());
+    PackedAWeights packed = PackedAWeights::Pack(m, depth, weight.data());
     for (bool parallel : {false, true}) {
       std::vector<float> c_direct(static_cast<size_t>(m * cols_n), -7.0f);
-      GemmConvEx(m, weight.data(), view, 1.0f, 0.0f, c_direct.data(), ep,
-                 parallel);
+      Gemm(raw, GemmB::Conv(view), c_direct.data(), ep, parallel);
       ASSERT_EQ(0, std::memcmp(c_ref.data(), c_direct.data(),
                                c_ref.size() * sizeof(float)))
           << Describe(g) << " parallel=" << parallel;
       std::vector<float> c_packed(static_cast<size_t>(m * cols_n), -7.0f);
-      GemmConvPackedA(packed, view, 1.0f, 0.0f, c_packed.data(), ep,
-                      parallel);
+      Gemm(GemmA::Packed(packed), GemmB::Conv(view), c_packed.data(), ep,
+           parallel);
       ASSERT_EQ(0, std::memcmp(c_ref.data(), c_packed.data(),
                                c_ref.size() * sizeof(float)))
           << Describe(g) << " prepacked parallel=" << parallel;
@@ -161,8 +161,9 @@ TEST(ConvDirectGemmTest, Int8BitwiseMatchesIm2Col) {
     Im2Col(img.data(), g.c, g.h, g.w, g.kernel, g.kernel, g.pad, g.stride,
            cols.data());
     std::vector<float> c_ref(static_cast<size_t>(m * cols_n));
-    GemmS8(false, false, m, cols_n, depth, weight.data(), cols.data(),
-           c_ref.data(), ep, /*parallel=*/false);
+    const GemmS8A raw = GemmS8A::Raw(m, depth, weight.data());
+    GemmS8(raw, GemmS8B::Raw(depth, cols_n, cols.data()), c_ref.data(), ep,
+           /*parallel=*/false);
 
     const std::vector<int8_t> padded = PadImage(img, g.c, g.h, g.w, g.pad);
     const ConvImageViewS8 view = MakeView(g, img, padded);
@@ -171,10 +172,16 @@ TEST(ConvDirectGemmTest, Int8BitwiseMatchesIm2Col) {
     PackedS8Weights packed = PackedS8Weights::Pack(m, depth, weight.data());
     for (bool parallel : {false, true}) {
       std::vector<float> c_direct(static_cast<size_t>(m * cols_n), -7.0f);
-      GemmS8ConvPackedA(packed, view, c_direct.data(), ep, parallel);
+      GemmS8(raw, GemmS8B::Conv(view), c_direct.data(), ep, parallel);
       ASSERT_EQ(0, std::memcmp(c_ref.data(), c_direct.data(),
                                c_ref.size() * sizeof(float)))
           << Describe(g) << " parallel=" << parallel;
+      std::vector<float> c_packed(static_cast<size_t>(m * cols_n), -7.0f);
+      GemmS8(GemmS8A::Packed(packed), GemmS8B::Conv(view), c_packed.data(),
+             ep, parallel);
+      ASSERT_EQ(0, std::memcmp(c_ref.data(), c_packed.data(),
+                               c_ref.size() * sizeof(float)))
+          << Describe(g) << " prepacked parallel=" << parallel;
     }
   }
 }
@@ -193,10 +200,10 @@ TEST(ConvDirectGemmTest, SubTileParallelIsDeterministicF32) {
   FillUniform(&b, rng);
   std::vector<float> c_seq(static_cast<size_t>(m * n));
   std::vector<float> c_par(static_cast<size_t>(m * n));
-  GemmEx(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-         c_seq.data(), GemmEpilogue{}, /*parallel=*/false);
-  GemmEx(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-         c_par.data(), GemmEpilogue{}, /*parallel=*/true);
+  const GemmA ad = GemmA::Raw(m, k, a.data());
+  const GemmB bd = GemmB::Raw(k, n, b.data());
+  Gemm(ad, bd, c_seq.data(), GemmEpilogue{}, /*parallel=*/false);
+  Gemm(ad, bd, c_par.data(), GemmEpilogue{}, /*parallel=*/true);
   ASSERT_EQ(0,
             std::memcmp(c_seq.data(), c_par.data(), c_seq.size() * sizeof(float)));
 }
@@ -212,16 +219,16 @@ TEST(ConvDirectGemmTest, SubTileParallelIsDeterministicInt8) {
   ep.scale = 0.0625f;
   std::vector<float> c_seq(static_cast<size_t>(m * n));
   std::vector<float> c_par(static_cast<size_t>(m * n));
-  GemmS8(false, false, m, n, k, a.data(), b.data(), c_seq.data(), ep,
-         /*parallel=*/false);
-  GemmS8(false, false, m, n, k, a.data(), b.data(), c_par.data(), ep,
-         /*parallel=*/true);
+  const GemmS8A ad = GemmS8A::Raw(m, k, a.data());
+  const GemmS8B bd = GemmS8B::Raw(k, n, b.data());
+  GemmS8(ad, bd, c_seq.data(), ep, /*parallel=*/false);
+  GemmS8(ad, bd, c_par.data(), ep, /*parallel=*/true);
   ASSERT_EQ(0,
             std::memcmp(c_seq.data(), c_par.data(), c_seq.size() * sizeof(float)));
 }
 
-// Multi-macro-tile shape: the macro schedule (or sub-tile, depending on
-// worker count) must agree with sequential bit for bit too.
+// Several row and column tiles: the sub-tile schedule of every (column
+// stripe, row tile) must agree with sequential bit for bit too.
 TEST(ConvDirectGemmTest, MultiTileParallelIsDeterministic) {
   Rng rng(93);
   const int64_t m = 300, k = 60, n = 1100;
@@ -231,10 +238,10 @@ TEST(ConvDirectGemmTest, MultiTileParallelIsDeterministic) {
   FillUniform(&b, rng);
   std::vector<float> c_seq(static_cast<size_t>(m * n));
   std::vector<float> c_par(static_cast<size_t>(m * n));
-  GemmEx(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-         c_seq.data(), GemmEpilogue{}, /*parallel=*/false);
-  GemmEx(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-         c_par.data(), GemmEpilogue{}, /*parallel=*/true);
+  const GemmA ad = GemmA::Raw(m, k, a.data());
+  const GemmB bd = GemmB::Raw(k, n, b.data());
+  Gemm(ad, bd, c_seq.data(), GemmEpilogue{}, /*parallel=*/false);
+  Gemm(ad, bd, c_par.data(), GemmEpilogue{}, /*parallel=*/true);
   ASSERT_EQ(0,
             std::memcmp(c_seq.data(), c_par.data(), c_seq.size() * sizeof(float)));
 }
@@ -257,9 +264,9 @@ Tensor Im2ColForwardF32(Conv2d& conv, const Tensor& x, bool relu) {
   for (int64_t b = 0; b < batch; ++b) {
     Im2Col(x.data() + b * c * h * w, c, h, w, k, k, pad, stride,
            cols.data());
-    GemmEx(false, false, out_c, ohw, ckk, 1.0f, conv.weight().value.data(),
-           cols.data(), 0.0f, y.data() + b * out_c * ohw, ep,
-           /*parallel=*/false);
+    Gemm(GemmA::Raw(out_c, ckk, conv.weight().value.data()),
+         GemmB::Raw(ckk, ohw, cols.data()), y.data() + b * out_c * ohw, ep,
+         /*parallel=*/false);
   }
   return y;
 }
@@ -289,8 +296,9 @@ Tensor Im2ColForwardInt8(Conv2d& conv, const Tensor& x, bool relu) {
   for (int64_t b = 0; b < batch; ++b) {
     QuantizeBufferS8(x.data() + b * chw, chw, 1.0f / act_scale, q.data());
     Im2Col(q.data(), c, h, w, k, k, pad, stride, cols.data());
-    GemmS8(false, false, out_c, ohw, ckk, state.values.data(), cols.data(),
-           y.data() + b * out_c * ohw, ep, /*parallel=*/false);
+    GemmS8(GemmS8A::Raw(out_c, ckk, state.values.data()),
+           GemmS8B::Raw(ckk, ohw, cols.data()), y.data() + b * out_c * ohw,
+           ep, /*parallel=*/false);
   }
   return y;
 }

@@ -70,8 +70,8 @@ Tensor ReferenceConvForward(Conv2d& conv, const Tensor& input) {
     Im2Col(input.data() + b * conv.in_channels() * h * w,
            conv.in_channels(), h, w, conv.kernel(), conv.kernel(),
            conv.pad(), conv.stride(), cols.data());
-    GemmRef(false, false, conv.out_channels(), ohw, ckk, 1.0f,
-            conv.weight().value.data(), cols.data(), 0.0f,
+    GemmRef(false, false, conv.out_channels(), ohw, ckk,
+            conv.weight().value.data(), cols.data(),
             out.data() + b * conv.out_channels() * ohw);
   }
   if (conv.has_bias()) {

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "util/parallel_for.h"
 #include "util/rng.h"
 
 namespace poe {
@@ -32,14 +33,14 @@ void FillUniform(std::vector<float>* v, Rng& rng, float lo = -1.0f,
   for (auto& x : *v) x = rng.Uniform(lo, hi);
 }
 
-// (trans_a, trans_b, m, n, k)
+// (A prepacked, trans_b, m, n, k)
 using GemmS8Case = std::tuple<bool, bool, int, int, int>;
 
 class GemmS8ParamTest : public ::testing::TestWithParam<GemmS8Case> {};
 
 TEST_P(GemmS8ParamTest, MatchesReference) {
-  const auto [ta, tb, m, n, k] = GetParam();
-  Rng rng(static_cast<uint64_t>(m * 10007 + n * 101 + k + ta * 2 + tb));
+  const auto [packed_a, tb, m, n, k] = GetParam();
+  Rng rng(static_cast<uint64_t>(m * 10007 + n * 101 + k + packed_a * 2 + tb));
   std::vector<int8_t> a(static_cast<size_t>(m) * k);
   std::vector<int8_t> b(static_cast<size_t>(k) * n);
   FillInt8(&a, rng);
@@ -49,6 +50,10 @@ TEST_P(GemmS8ParamTest, MatchesReference) {
   FillUniform(&col_scale, rng, 0.01f, 2.0f);
   FillUniform(&row_bias, rng);
   FillUniform(&col_bias, rng);
+  PackedS8Weights packed;
+  if (packed_a) packed = PackedS8Weights::Pack(m, k, a.data());
+  const GemmS8A ad =
+      packed_a ? GemmS8A::Packed(packed) : GemmS8A::Raw(m, k, a.data());
 
   // Cover the epilogue shapes the serving layers use: bare dequant, conv
   // (row_scale + row_bias + relu), and linear (col_scale + col_bias).
@@ -66,13 +71,13 @@ TEST_P(GemmS8ParamTest, MatchesReference) {
   for (const GemmS8Epilogue& ep : {plain, conv, linear}) {
     std::vector<float> c(static_cast<size_t>(m) * n, -1.0f);
     std::vector<float> c_ref = c;
-    GemmS8(ta, tb, m, n, k, a.data(), b.data(), c.data(), ep,
+    GemmS8(ad, GemmS8B::Raw(k, n, b.data(), tb), c.data(), ep,
            /*parallel=*/true);
-    GemmS8Ref(ta, tb, m, n, k, a.data(), b.data(), c_ref.data(), ep);
+    GemmS8Ref(tb, m, n, k, a.data(), b.data(), c_ref.data(), ep);
     for (size_t i = 0; i < c.size(); ++i) {
       ASSERT_NEAR(c[i], c_ref[i], RelTol(c_ref[i]))
           << "at " << i << " m=" << m << " n=" << n << " k=" << k
-          << " ta=" << ta << " tb=" << tb;
+          << " packed_a=" << packed_a << " tb=" << tb;
     }
   }
 }
@@ -82,19 +87,19 @@ TEST_P(GemmS8ParamTest, MatchesReference) {
 std::vector<GemmS8Case> AllTransposeCases() {
   const int sizes[] = {1, 2, 3, 17, 63, 130};
   std::vector<GemmS8Case> cases;
-  for (bool ta : {false, true}) {
+  for (bool packed_a : {false, true}) {
     for (bool tb : {false, true}) {
       for (int m : sizes)
         for (int n : sizes)
           for (int k : sizes) {
             if (m * n * k > 17 * 130 * 130) continue;
-            cases.push_back({ta, tb, m, n, k});
+            cases.push_back({packed_a, tb, m, n, k});
           }
       // Macro-tile boundary cases (MC = 240, NC = 1024) and a k deep
       // enough to stress long in-register accumulation.
-      cases.push_back({ta, tb, 241, 65, 321});
-      cases.push_back({ta, tb, 37, 1025, 11});
-      cases.push_back({ta, tb, 13, 33, 1301});
+      cases.push_back({packed_a, tb, 241, 65, 321});
+      cases.push_back({packed_a, tb, 37, 1025, 11});
+      cases.push_back({packed_a, tb, 13, 33, 1301});
     }
   }
   return cases;
@@ -117,8 +122,8 @@ TEST(GemmS8Test, SaturatedInputsStayExact) {
       std::vector<float> c(static_cast<size_t>(m) * n, 0.0f);
       GemmS8Epilogue ep;
       ep.scale = 1.0f;
-      GemmS8(false, false, m, n, k, a.data(), b.data(), c.data(), ep,
-             /*parallel=*/false);
+      GemmS8(GemmS8A::Raw(m, k, a.data()), GemmS8B::Raw(k, n, b.data()),
+             c.data(), ep, /*parallel=*/false);
       const float want = static_cast<float>(sign_a * sign_b) * 127.0f *
                          127.0f * static_cast<float>(k);
       for (float v : c) ASSERT_EQ(v, want);
@@ -137,8 +142,9 @@ TEST(GemmS8Test, AlternatingSaturatedInputsMatchReference) {
   std::vector<float> c(static_cast<size_t>(m) * n, 0.0f), c_ref = c;
   GemmS8Epilogue ep;
   ep.scale = 0.25f;
-  GemmS8(false, false, m, n, k, a.data(), b.data(), c.data(), ep, true);
-  GemmS8Ref(false, false, m, n, k, a.data(), b.data(), c_ref.data(), ep);
+  GemmS8(GemmS8A::Raw(m, k, a.data()), GemmS8B::Raw(k, n, b.data()),
+         c.data(), ep, /*parallel=*/true);
+  GemmS8Ref(false, m, n, k, a.data(), b.data(), c_ref.data(), ep);
   for (size_t i = 0; i < c.size(); ++i) ASSERT_EQ(c[i], c_ref[i]);
 }
 
@@ -159,8 +165,10 @@ TEST(GemmS8Test, ThreadedMatchesSequentialBitwise) {
     ep.row_bias = bias.data();
     ep.relu = true;
     std::vector<float> c1(static_cast<size_t>(m) * n, 0.0f), c2 = c1;
-    GemmS8(false, false, m, n, k, a.data(), b.data(), c1.data(), ep, true);
-    GemmS8(false, false, m, n, k, a.data(), b.data(), c2.data(), ep, false);
+    const GemmS8A ad = GemmS8A::Raw(m, k, a.data());
+    const GemmS8B bd = GemmS8B::Raw(k, n, b.data());
+    GemmS8(ad, bd, c1.data(), ep, /*parallel=*/true);
+    GemmS8(ad, bd, c2.data(), ep, /*parallel=*/false);
     ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
                              c1.size() * sizeof(float)))
         << "m=" << m << " n=" << n << " k=" << k;
@@ -186,6 +194,13 @@ TEST(GemmS8Test, PackedWeightsMatchUnpacked) {
     EXPECT_EQ(packed.rows(), m);
     EXPECT_EQ(packed.depth(), k);
     EXPECT_GE(packed.nbytes(), m * k);
+    std::vector<float> c1(static_cast<size_t>(m) * n, 0.0f), c2 = c1;
+    const GemmS8B bd = GemmS8B::Raw(k, n, b.data());
+    GemmS8(GemmS8A::Packed(packed), bd, c1.data(), ep, /*parallel=*/true);
+    GemmS8(GemmS8A::Raw(m, k, a.data()), bd, c2.data(), ep,
+           /*parallel=*/true);
+    ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
+                             c1.size() * sizeof(float)));
     // B as a 1x1 conv view (k channels of a 1 x n image), which the
     // GEMM packs as the plain k x n matrix it is.
     ConvImageViewS8 view;
@@ -194,10 +209,10 @@ TEST(GemmS8Test, PackedWeightsMatchUnpacked) {
     view.height = 1;
     view.width = n;
     view.kernel = 1;
-    std::vector<float> c1(static_cast<size_t>(m) * n, 0.0f), c2 = c1;
-    GemmS8ConvPackedA(packed, view, c1.data(), ep, /*parallel=*/true);
-    GemmS8(false, false, m, n, k, a.data(), b.data(), c2.data(), ep, true);
-    ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
+    std::vector<float> c3(c1.size(), -1.0f);
+    GemmS8(GemmS8A::Packed(packed), GemmS8B::Conv(view), c3.data(), ep,
+           /*parallel=*/true);
+    ASSERT_EQ(0, std::memcmp(c1.data(), c3.data(),
                              c1.size() * sizeof(float)));
   }
 }
@@ -209,7 +224,8 @@ TEST(GemmS8Test, KZeroAppliesEpilogueOnly) {
   GemmS8Epilogue ep;
   ep.row_bias = bias.data();
   ep.relu = true;
-  GemmS8(false, false, m, n, 0, nullptr, nullptr, c.data(), ep, false);
+  GemmS8(GemmS8A::Raw(m, 0, nullptr), GemmS8B::Raw(0, n, nullptr), c.data(),
+         ep, /*parallel=*/false);
   EXPECT_FLOAT_EQ(c[0], 1.5f);
   EXPECT_FLOAT_EQ(c[1], 1.5f);
   EXPECT_FLOAT_EQ(c[2], 0.0f);  // relu clamps the negative bias
@@ -231,11 +247,27 @@ TEST(GemmS8Test, EpilogueMatchesManualArithmetic) {
   ep.row_scale = row_scale.data();
   ep.col_bias = col_bias.data();
   std::vector<float> c(4, 0.0f);
-  GemmS8(false, false, 2, 2, 1, a.data(), b.data(), c.data(), ep, false);
+  GemmS8(GemmS8A::Raw(2, 1, a.data()), GemmS8B::Raw(1, 2, b.data()),
+         c.data(), ep, /*parallel=*/false);
   EXPECT_FLOAT_EQ(c[0], 30.0f * 0.1f * 0.5f + 1.0f);
   EXPECT_FLOAT_EQ(c[1], -50.0f * 0.1f * 0.5f - 1.0f);
   EXPECT_FLOAT_EQ(c[2], -60.0f * 0.1f * 2.0f + 1.0f);
   EXPECT_FLOAT_EQ(c[3], 100.0f * 0.1f * 2.0f - 1.0f);
+}
+
+// The int8 task count follows the int8 kernel's NR (16 on every tier),
+// not the f32 kernel's: on an AVX-512 host the two differ.
+TEST(GemmS8Test, ParallelTilesCountTheInt8KernelsMicroPanels) {
+  const int64_t nr = 16;
+  EXPECT_EQ(GemmS8ParallelTiles(0, 10, 10), 0);
+  EXPECT_EQ(GemmS8ParallelTiles(4, 4, 4), 1);
+  // 64 x 1000 x 64 multiply-accumulates reach kMinFanOutWork.
+  if (NumThreads() == 1) {
+    EXPECT_EQ(GemmS8ParallelTiles(64, 1000, 64), 1);
+    return;
+  }
+  EXPECT_EQ(GemmS8ParallelTiles(64, 1000, 64), (1000 + nr - 1) / nr);
+  EXPECT_EQ(GemmS8ParallelTiles(64, 3000, 64), 1024 / nr);
 }
 
 TEST(GemmS8Test, KernelNameIsKnown) {

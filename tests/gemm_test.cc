@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "util/parallel_for.h"
 #include "util/rng.h"
 
 namespace poe {
@@ -22,33 +23,39 @@ void FillUniform(std::vector<float>* v, Rng& rng, float lo = -1.0f,
 // fp32 while GemmRef uses a double accumulator.
 float Tol(int64_t k) { return 1e-5f * static_cast<float>(k) + 1e-4f; }
 
-// (trans_a, trans_b, m, n, k)
-using GemmCase = std::tuple<bool, bool, int, int, int>;
+// The A operand forms: row-major, transposed storage, prepacked panels.
+enum class AForm { kRaw, kTransposed, kPacked };
+
+// (A form, trans_b, m, n, k)
+using GemmCase = std::tuple<AForm, bool, int, int, int>;
 
 class GemmParamTest : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmParamTest, MatchesReference) {
-  const auto [ta, tb, m, n, k] = GetParam();
+  const auto [form, tb, m, n, k] = GetParam();
+  const bool ta = form == AForm::kTransposed;
   Rng rng(static_cast<uint64_t>(m * 10007 + n * 101 + k + ta * 2 + tb));
   std::vector<float> a(static_cast<size_t>(m) * k);
   std::vector<float> b(static_cast<size_t>(k) * n);
   FillUniform(&a, rng);
   FillUniform(&b, rng);
+  PackedAWeights packed;
+  if (form == AForm::kPacked) packed = PackedAWeights::Pack(m, k, a.data());
+  const GemmA ad = form == AForm::kPacked ? GemmA::Packed(packed)
+                                          : GemmA::Raw(m, k, a.data(), ta);
 
-  const float alphas[] = {1.0f, 0.7f, -0.3f, 0.0f};
-  const float betas[] = {0.0f, 1.0f, 0.3f, -2.0f};
-  for (float alpha : alphas) {
-    for (float beta : betas) {
-      std::vector<float> c(static_cast<size_t>(m) * n);
-      FillUniform(&c, rng);
-      std::vector<float> c_ref = c;
-      Gemm(ta, tb, m, n, k, alpha, a.data(), b.data(), beta, c.data());
-      GemmRef(ta, tb, m, n, k, alpha, a.data(), b.data(), beta,
-              c_ref.data());
-      for (size_t i = 0; i < c.size(); ++i) {
-        ASSERT_NEAR(c[i], c_ref[i], Tol(k))
-            << "at " << i << " alpha=" << alpha << " beta=" << beta;
-      }
+  for (bool accumulate : {false, true}) {
+    std::vector<float> c(static_cast<size_t>(m) * n);
+    FillUniform(&c, rng);
+    std::vector<float> c_ref = c;
+    GemmEpilogue ep;
+    ep.accumulate = accumulate;
+    Gemm(ad, GemmB::Raw(k, n, b.data(), tb), c.data(), ep,
+         /*parallel=*/true);
+    GemmRef(ta, tb, m, n, k, a.data(), b.data(), c_ref.data(), accumulate);
+    for (size_t i = 0; i < c.size(); ++i) {
+      ASSERT_NEAR(c[i], c_ref[i], Tol(k))
+          << "at " << i << " accumulate=" << accumulate;
     }
   }
 }
@@ -58,7 +65,7 @@ TEST_P(GemmParamTest, MatchesReference) {
 std::vector<GemmCase> AllTransposeCases() {
   const int sizes[] = {1, 3, 17, 63, 129};
   std::vector<GemmCase> cases;
-  for (bool ta : {false, true}) {
+  for (AForm form : {AForm::kRaw, AForm::kTransposed, AForm::kPacked}) {
     for (bool tb : {false, true}) {
       for (int m : sizes)
         for (int n : sizes)
@@ -68,12 +75,12 @@ std::vector<GemmCase> AllTransposeCases() {
             // panel-edge interplay is instead covered by the explicit
             // blocking-boundary cases below.
             if (m * n * k > 17 * 129 * 129) continue;
-            cases.push_back({ta, tb, m, n, k});
+            cases.push_back({form, tb, m, n, k});
           }
       // Blocking-boundary cases: cross kMC=240, kKC=320, kNC=1024.
-      cases.push_back({ta, tb, 241, 65, 321});
-      cases.push_back({ta, tb, 256, 256, 72});
-      cases.push_back({ta, tb, 37, 1025, 11});
+      cases.push_back({form, tb, 241, 65, 321});
+      cases.push_back({form, tb, 256, 256, 72});
+      cases.push_back({form, tb, 37, 1025, 11});
     }
   }
   return cases;
@@ -82,27 +89,37 @@ std::vector<GemmCase> AllTransposeCases() {
 INSTANTIATE_TEST_SUITE_P(AllTransposeCombos, GemmParamTest,
                          ::testing::ValuesIn(AllTransposeCases()));
 
-TEST(GemmTest, BetaZeroOverwritesGarbage) {
+TEST(GemmTest, OverwriteIgnoresGarbage) {
   std::vector<float> a = {1, 2};
-  std::vector<float> b = {3, 4};
+  std::vector<float> b = {3};
   std::vector<float> c = {std::nanf(""), std::nanf("")};
   // 2x1 times 1x1 -> 2x1
-  Gemm(false, false, 2, 1, 1, 1.0f, a.data(), b.data(), 0.0f, c.data());
+  Gemm(GemmA::Raw(2, 1, a.data()), GemmB::Raw(1, 1, b.data()), c.data(),
+       GemmEpilogue{}, /*parallel=*/false);
   EXPECT_FLOAT_EQ(c[0], 3.0f);
   EXPECT_FLOAT_EQ(c[1], 6.0f);
-  (void)b;
 }
 
-TEST(GemmTest, KZeroScalesOnly) {
-  std::vector<float> c = {2.0f, 4.0f};
-  Gemm(false, false, 2, 1, 0, 1.0f, nullptr, nullptr, 0.5f, c.data());
-  EXPECT_FLOAT_EQ(c[0], 1.0f);
-  EXPECT_FLOAT_EQ(c[1], 2.0f);
+// An empty product zeroes C, or keeps it when accumulating; the bias
+// still applies.
+TEST(GemmTest, KZeroWritesEpilogueOnly) {
+  const std::vector<float> bias = {0.5f, -1.0f};
+  for (bool accumulate : {false, true}) {
+    std::vector<float> c = {2.0f, 4.0f};
+    GemmEpilogue ep;
+    ep.row_bias = bias.data();
+    ep.accumulate = accumulate;
+    Gemm(GemmA::Raw(2, 0, nullptr), GemmB::Raw(0, 1, nullptr), c.data(), ep,
+         /*parallel=*/false);
+    EXPECT_FLOAT_EQ(c[0], accumulate ? 2.5f : 0.5f);
+    EXPECT_FLOAT_EQ(c[1], accumulate ? 3.0f : -1.0f);
+  }
 }
 
-// The blocked GEMM assigns each C macro-tile to exactly one task with a
+// The blocked GEMM writes each C micro-tile from exactly one task with a
 // fixed k-accumulation order, so the threaded and sequential paths must be
-// bitwise identical — not merely close.
+// bitwise identical — not merely close — and so must every operand form
+// of the same values.
 TEST(GemmTest, ThreadedMatchesSequentialBitwise) {
   Rng rng(77);
   for (const auto& [m, n, k] :
@@ -114,14 +131,15 @@ TEST(GemmTest, ThreadedMatchesSequentialBitwise) {
     std::vector<float> c1(static_cast<size_t>(m) * n, 0.0f), c2 = c1;
     FillUniform(&a, rng);
     FillUniform(&b, rng);
-    Gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
-    GemmEx(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c2.data(),
-           GemmEpilogue{}, /*parallel=*/false);
+    const GemmA ad = GemmA::Raw(m, k, a.data());
+    const GemmB bd = GemmB::Raw(k, n, b.data());
+    Gemm(ad, bd, c1.data(), GemmEpilogue{}, /*parallel=*/true);
+    Gemm(ad, bd, c2.data(), GemmEpilogue{}, /*parallel=*/false);
     ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
                              c1.size() * sizeof(float)))
         << "m=" << m << " n=" << n << " k=" << k;
     // A 1x1 conv view of B (k channels of a 1 x n image) is its own B
-    // matrix: the conv entry point must be the same product, bit for bit.
+    // matrix: the conv operand must give the same product, bit for bit.
     ConvImageView view;
     view.padded = b.data();
     view.channels = k;
@@ -129,8 +147,8 @@ TEST(GemmTest, ThreadedMatchesSequentialBitwise) {
     view.width = n;
     view.kernel = 1;
     std::vector<float> c3(c1.size(), -1.0f);
-    GemmConvEx(m, a.data(), view, 1.0f, 0.0f, c3.data(), GemmEpilogue{},
-               /*parallel=*/false);
+    Gemm(ad, GemmB::Conv(view), c3.data(), GemmEpilogue{},
+         /*parallel=*/false);
     ASSERT_EQ(0, std::memcmp(c1.data(), c3.data(),
                              c1.size() * sizeof(float)))
         << "1x1 view m=" << m << " n=" << n << " k=" << k;
@@ -145,7 +163,8 @@ TEST(GemmTest, IdentityMultiplication) {
   std::vector<float> x(n * n);
   FillUniform(&x, rng);
   std::vector<float> y(n * n, 0.0f);
-  Gemm(false, false, n, n, n, 1.0f, eye.data(), x.data(), 0.0f, y.data());
+  Gemm(GemmA::Raw(n, n, eye.data()), GemmB::Raw(n, n, x.data()), y.data(),
+       GemmEpilogue{}, /*parallel=*/true);
   for (int i = 0; i < n * n; ++i) ASSERT_NEAR(y[i], x[i], 1e-6f);
 }
 
@@ -160,11 +179,10 @@ TEST(GemmEpilogueTest, RowBiasMatchesManual) {
 
   GemmEpilogue ep;
   ep.row_bias = bias.data();
-  GemmEx(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data(),
-         ep, /*parallel=*/false);
+  Gemm(GemmA::Raw(m, k, a.data()), GemmB::Raw(k, n, b.data()), c.data(), ep,
+       /*parallel=*/false);
 
-  GemmRef(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-          c_ref.data());
+  GemmRef(false, false, m, n, k, a.data(), b.data(), c_ref.data());
   for (int i = 0; i < m; ++i)
     for (int j = 0; j < n; ++j) c_ref[i * n + j] += bias[i];
   for (int i = 0; i < m * n; ++i) ASSERT_NEAR(c[i], c_ref[i], Tol(k));
@@ -182,11 +200,10 @@ TEST(GemmEpilogueTest, ColBiasReluMatchesManual) {
   GemmEpilogue ep;
   ep.col_bias = bias.data();
   ep.relu = true;
-  GemmEx(false, true, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data(), ep,
-         /*parallel=*/true);
+  Gemm(GemmA::Raw(m, k, a.data()), GemmB::Raw(k, n, b.data(), /*trans=*/true),
+       c.data(), ep, /*parallel=*/true);
 
-  GemmRef(false, true, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-          c_ref.data());
+  GemmRef(false, true, m, n, k, a.data(), b.data(), c_ref.data());
   for (int i = 0; i < m; ++i)
     for (int j = 0; j < n; ++j)
       c_ref[i * n + j] = std::max(0.0f, c_ref[i * n + j] + bias[j]);
@@ -207,15 +224,31 @@ TEST(GemmEpilogueTest, MultiKBlockAppliesEpilogueOnce) {
   GemmEpilogue ep;
   ep.row_bias = bias.data();
   ep.relu = true;
-  GemmEx(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data(),
-         ep, /*parallel=*/false);
+  Gemm(GemmA::Raw(m, k, a.data()), GemmB::Raw(k, n, b.data()), c.data(), ep,
+       /*parallel=*/false);
 
-  GemmRef(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-          c_ref.data());
+  GemmRef(false, false, m, n, k, a.data(), b.data(), c_ref.data());
   for (int i = 0; i < m; ++i)
     for (int j = 0; j < n; ++j)
       c_ref[i * n + j] = std::max(0.0f, c_ref[i * n + j] + bias[i]);
   for (int i = 0; i < m * n; ++i) ASSERT_NEAR(c[i], c_ref[i], Tol(k));
+}
+
+// Above the fan-out threshold a parallel Gemm spreads the f32 kernel's
+// NR-column micro-panels of one kNC = 1024 column stripe; below it, one
+// task.
+TEST(GemmTest, ParallelTilesCountTheF32KernelsMicroPanels) {
+  const std::string name = GemmKernelName();
+  const int64_t nr = name == "avx512" ? 32 : 16;
+  EXPECT_EQ(GemmParallelTiles(0, 10, 10), 0);
+  EXPECT_EQ(GemmParallelTiles(4, 4, 4), 1);
+  // 64 x 1000 x 64 multiply-accumulates reach kMinFanOutWork.
+  if (NumThreads() == 1) {
+    EXPECT_EQ(GemmParallelTiles(64, 1000, 64), 1);
+    return;
+  }
+  EXPECT_EQ(GemmParallelTiles(64, 1000, 64), (1000 + nr - 1) / nr);
+  EXPECT_EQ(GemmParallelTiles(64, 3000, 64), 1024 / nr);
 }
 
 TEST(GemmTest, KernelNameIsKnown) {

@@ -147,8 +147,8 @@ TEST(ParallelForTest, WorkBelowThresholdRunsOnCallingThread) {
   const int64_t before = PoolRunCountForTesting();
   // 64 x 48 x 32 GEMM: ~98k multiply-accumulates.
   std::vector<float> a(64 * 32, 0.5f), b(32 * 48, 0.25f), c(64 * 48);
-  GemmEx(false, false, 64, 48, 32, 1.0f, a.data(), b.data(), 0.0f, c.data(),
-         GemmEpilogue{}, /*parallel=*/true);
+  Gemm(GemmA::Raw(64, 32, a.data()), GemmB::Raw(32, 48, b.data()), c.data(),
+       GemmEpilogue{}, /*parallel=*/true);
   // Batch-1 inference conv, 16 -> 16 channels at 8x8: ~147k.
   Conv2d conv(16, 16, /*kernel=*/3, /*stride=*/1, /*pad=*/1, rng);
   Tensor x = Tensor::Randn({1, 16, 8, 8}, rng);
@@ -159,8 +159,8 @@ TEST(ParallelForTest, WorkBelowThresholdRunsOnCallingThread) {
   if (NumThreads() == 1) return;
   std::vector<float> big_a(256 * 256, 0.5f), big_b(256 * 256, 0.25f),
       big_c(256 * 256);
-  GemmEx(false, false, 256, 256, 256, 1.0f, big_a.data(), big_b.data(), 0.0f,
-         big_c.data(), GemmEpilogue{}, /*parallel=*/true);
+  Gemm(GemmA::Raw(256, 256, big_a.data()), GemmB::Raw(256, 256, big_b.data()),
+       big_c.data(), GemmEpilogue{}, /*parallel=*/true);
   const int64_t after_gemm = PoolRunCountForTesting();
   EXPECT_GT(after_gemm, before);
   Tensor big_x = Tensor::Randn({8, 16, 32, 32}, rng);

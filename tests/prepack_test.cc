@@ -44,28 +44,36 @@ TEST(GemmPackedBitwiseTest, PackedAMatchesOnTheFly) {
     GemmEpilogue ep;
     ep.row_bias = bias.data();
     ep.relu = true;
-    PackedAWeights packed =
-        PackedAWeights::Pack(/*trans_a=*/false, s.m, s.k, a.data());
+    PackedAWeights packed = PackedAWeights::Pack(s.m, s.k, a.data());
     EXPECT_EQ(packed.rows(), s.m);
     EXPECT_EQ(packed.depth(), s.k);
     EXPECT_GT(packed.nbytes(), 0);
-    // B as a 1x1 conv view (k channels of a 1 x n image), which the
-    // GEMM packs as the plain k x n matrix it is.
+    // B as a matrix and as a 1x1 conv view (k channels of a 1 x n image),
+    // which the GEMM packs as the plain k x n matrix it is.
     ConvImageView view;
     view.padded = b.data();
     view.channels = s.k;
     view.height = 1;
     view.width = s.n;
     view.kernel = 1;
-    for (bool parallel : {false, true}) {
-      std::vector<float> c1(s.m * s.n, 0.5f), c2(s.m * s.n, 0.5f);
-      GemmEx(false, false, s.m, s.n, s.k, 1.0f, a.data(), b.data(), 0.25f,
-             c1.data(), ep, parallel);
-      GemmConvPackedA(packed, view, 1.0f, 0.25f, c2.data(), ep, parallel);
-      ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
-                               c1.size() * sizeof(float)))
-          << "m=" << s.m << " n=" << s.n << " k=" << s.k
-          << " parallel=" << parallel;
+    const GemmB bd = GemmB::Raw(s.k, s.n, b.data());
+    for (bool accumulate : {false, true}) {
+      ep.accumulate = accumulate;
+      for (bool parallel : {false, true}) {
+        std::vector<float> c1(s.m * s.n, 0.5f), c2 = c1, c3 = c1;
+        Gemm(GemmA::Raw(s.m, s.k, a.data()), bd, c1.data(), ep, parallel);
+        Gemm(GemmA::Packed(packed), bd, c2.data(), ep, parallel);
+        Gemm(GemmA::Packed(packed), GemmB::Conv(view), c3.data(), ep,
+             parallel);
+        ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
+                                 c1.size() * sizeof(float)))
+            << "m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " accumulate=" << accumulate << " parallel=" << parallel;
+        ASSERT_EQ(0, std::memcmp(c1.data(), c3.data(),
+                                 c1.size() * sizeof(float)))
+            << "1x1 view m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " accumulate=" << accumulate << " parallel=" << parallel;
+      }
     }
   }
 }
@@ -86,10 +94,10 @@ TEST(GemmPackedBitwiseTest, PackedBMatchesOnTheFlyBothTransposes) {
       EXPECT_EQ(packed.cols(), s.n);
       for (bool parallel : {false, true}) {
         std::vector<float> c1(s.m * s.n, -1.0f), c2(s.m * s.n, -1.0f);
-        GemmEx(false, trans_b, s.m, s.n, s.k, 1.0f, a.data(), b.data(),
-               0.0f, c1.data(), ep, parallel);
-        GemmPackedB(s.m, a.data(), /*trans_a=*/false, packed, 1.0f, 0.0f,
-                    c2.data(), ep, parallel);
+        const GemmA ad = GemmA::Raw(s.m, s.k, a.data());
+        Gemm(ad, GemmB::Raw(s.k, s.n, b.data(), trans_b), c1.data(), ep,
+             parallel);
+        Gemm(ad, GemmB::Packed(packed), c2.data(), ep, parallel);
         ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
                                  c1.size() * sizeof(float)))
             << "m=" << s.m << " n=" << s.n << " k=" << s.k
@@ -121,10 +129,10 @@ TEST(GemmS8PackedBBitwiseTest, MatchesOnTheFlyBothTransposes) {
       EXPECT_GT(packed.nbytes(), 0);
       for (bool parallel : {false, true}) {
         std::vector<float> c1(s.m * s.n, -1.0f), c2(s.m * s.n, -1.0f);
-        GemmS8(false, trans_b, s.m, s.n, s.k, a.data(), b.data(), c1.data(),
-               ep, parallel);
-        GemmS8PackedB(/*trans_a=*/false, s.m, a.data(), packed, c2.data(),
-                      ep, parallel);
+        const GemmS8A ad = GemmS8A::Raw(s.m, s.k, a.data());
+        GemmS8(ad, GemmS8B::Raw(s.k, s.n, b.data(), trans_b), c1.data(), ep,
+               parallel);
+        GemmS8(ad, GemmS8B::Packed(packed), c2.data(), ep, parallel);
         ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
                                  c1.size() * sizeof(float)))
             << "m=" << s.m << " n=" << s.n << " k=" << s.k
